@@ -4,10 +4,9 @@
 //! line and watches the miss rate jump from 3.8% to 5.4%. This experiment
 //! reproduces it: take the GBSC layout of perl, add k lines of padding
 //! after every procedure for k = 0..8, and report the miss rate of each
-//! variant. The nine padded variants are evaluated concurrently through
-//! the tempo-cache sweep helper (they share one read-only testing trace).
+//! variant. The nine padded variants share one pass over the testing
+//! trace.
 
-use tempo::cache::sweep::simulate_layouts;
 use tempo::prelude::*;
 use tempo::workloads::suite;
 
@@ -40,7 +39,7 @@ pub(crate) fn run(ctx: &mut Ctx) -> Result<(), ExperimentError> {
     let padded: Vec<Layout> = (0u64..=8)
         .map(|pad_lines| layout.with_uniform_padding(program, pad_lines * 32))
         .collect();
-    let stats = simulate_layouts(program, &padded, &test, cache, ctx.pool())?;
+    let stats = session.evaluate_layouts_streamed(&padded, MemorySource::new(&test))?;
     ctx.note_cells(padded.len());
     for (pad_lines, stats) in (0u64..=8).zip(stats) {
         ctx.tally(stats);

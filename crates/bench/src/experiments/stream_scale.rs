@@ -9,17 +9,15 @@
 //! hard `ulimit -v` ceiling that the materialized path cannot meet.
 //!
 //! The evaluation pass reads a TMP2 container from disk through
-//! `open_v2_auto`, so it exercises the zero-copy whole-buffer decoder when
-//! the file fits the map budget and the constant-memory streaming reader
-//! when it does not (the 20M-record CI file deliberately overflows the
-//! budget). Records reach the simulators in SoA blocks, one decode shared
-//! by all layouts. Set `TEMPO_STREAM_INGEST=map|stream` to force a path;
-//! the text report is byte-identical either way, which CI asserts.
+//! `open_v2_auto`, the one TMP2 reader, which holds one frame at a time.
+//! Records reach the simulators in SoA blocks, one decode shared by all
+//! layouts.
 //!
 //! The text report carries only deterministic results (miss counts per
-//! layout). Peak RSS, throughput, and the ingestion path taken are
-//! machine- or environment-dependent, so they go into `BENCH_run.json`
-//! via [`Ctx::metric`] instead.
+//! layout). Peak RSS and throughput are machine-dependent, so they go
+//! into `BENCH_run.json` via [`Ctx::metric`] instead. The report's prose
+//! predates the single reader and is kept word for word, because
+//! `results/stream_scale.txt` is pinned byte for byte.
 
 use std::time::Instant;
 
@@ -57,10 +55,8 @@ pub(crate) fn run(ctx: &mut Ctx) -> Result<(), ExperimentError> {
     // One shared pass over the TMP2 file evaluates every layout: blocks
     // are decoded once and stepped through all simulators.
     let layout_list: Vec<Layout> = layouts.iter().map(|(_, l)| l.clone()).collect();
-    let source = open_v2_auto(&path, None)?;
-    let mapped = source.is_mapped();
     let stats = session
-        .evaluate_layouts_streamed(&layout_list, source)
+        .evaluate_layouts_streamed(&layout_list, open_v2_auto(&path, None)?)
         .map_err(ExperimentError::Trace)?;
     ctx.note_cells(layout_list.len());
     let wall = start.elapsed().as_secs_f64();
@@ -73,7 +69,6 @@ pub(crate) fn run(ctx: &mut Ctx) -> Result<(), ExperimentError> {
     if let Some(kb) = peak_rss_kb() {
         ctx.metric("peak_rss_kb", kb as f64);
     }
-    ctx.metric("ingest_mapped", if mapped { 1.0 } else { 0.0 });
 
     outln!(
         ctx,

@@ -35,16 +35,14 @@ use crate::CommonArgs;
 ///
 /// Every parallel helper an experiment leans on reports its worker
 /// panics typed — [`JobPanic`] from [`Ctx::run_jobs`] and the
-/// tempo-workloads generators, [`SweepPanic`](tempo::cache::SweepPanic)
-/// from the tempo-cache sweep helpers — and the `From` impls fold them
-/// all into this one type so experiment bodies just use `?`.
+/// tempo-workloads generators — and the `From` impls fold them and the
+/// other failure types into this one type so experiment bodies just use
+/// `?`.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ExperimentError {
     /// A parallel job panicked on a pool worker.
     Job(JobPanic),
-    /// A parallel sweep simulation cell panicked.
-    Sweep(tempo::cache::SweepPanic),
     /// Streaming trace I/O failed.
     Trace(tempo::trace::io::TraceIoError),
     /// Sharded profiling failed at the supervisor level.
@@ -59,7 +57,6 @@ impl fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExperimentError::Job(p) => write!(f, "parallel {p}"),
-            ExperimentError::Sweep(p) => write!(f, "{p}"),
             ExperimentError::Trace(e) => write!(f, "trace i/o failed: {e}"),
             ExperimentError::Shard(e) => write!(f, "sharded profiling failed: {e}"),
             ExperimentError::Io(e) => write!(f, "i/o error: {e}"),
@@ -72,7 +69,6 @@ impl std::error::Error for ExperimentError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ExperimentError::Job(p) => Some(p),
-            ExperimentError::Sweep(p) => Some(p),
             ExperimentError::Trace(e) => Some(e),
             ExperimentError::Shard(e) => Some(e),
             ExperimentError::Io(e) => Some(e),
@@ -84,12 +80,6 @@ impl std::error::Error for ExperimentError {
 impl From<JobPanic> for ExperimentError {
     fn from(p: JobPanic) -> Self {
         ExperimentError::Job(p)
-    }
-}
-
-impl From<tempo::cache::SweepPanic> for ExperimentError {
-    fn from(p: tempo::cache::SweepPanic) -> Self {
-        ExperimentError::Sweep(p)
     }
 }
 

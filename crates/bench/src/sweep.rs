@@ -324,9 +324,7 @@ impl SweepRunner {
                         names.push(format!("stacked{k}"));
                         layouts.push(stacked_decoy(&session, k));
                     }
-                    let (screen, stats) = session
-                        .evaluate_screened(&layouts, &test)
-                        .unwrap_or_else(|p| panic!("{p}"));
+                    let (screen, stats) = session.evaluate_screened(&layouts, &test);
                     let screened = screen.screened();
                     let provable = screen
                         .layouts

@@ -89,6 +89,25 @@ fn prefilter_skips_a_third_and_keeps_every_winner() {
         fraction >= 0.30,
         "prefilter skipped only {screened}/{candidates} simulations"
     );
+
+    // The screening counters cover every candidate exactly once. One
+    // worker runs every cell on this thread, so a scoped registry sees
+    // all of them (and nothing from concurrently running tests); the
+    // cells must not depend on the worker count.
+    let registry = std::sync::Arc::new(tempo_obs::Registry::new());
+    let serial = {
+        let _scope = tempo_obs::scoped(registry.clone());
+        SweepRunner::new(1).run_screened(&spec, 4).unwrap()
+    };
+    assert_eq!(serial, cells, "screened cells depend on the worker count");
+    let snap = registry.snapshot();
+    let counted = |name: &str| snap.counter(name).unwrap_or(0);
+    assert_eq!(counted("analyze.screened"), screened as u64);
+    assert_eq!(
+        counted("analyze.screened") + counted("analyze.simulated"),
+        candidates as u64,
+        "screened + simulated must cover every candidate"
+    );
 }
 
 #[test]

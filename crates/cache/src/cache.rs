@@ -70,6 +70,7 @@ impl InstructionCache {
 
     /// Accesses every line touched by `bytes` bytes starting at `addr`,
     /// in address order; returns `(accesses, misses)`.
+    #[inline]
     pub fn access_range(&mut self, addr: u64, bytes: u32) -> (u64, u64) {
         if bytes == 0 {
             return (0, 0);

@@ -8,8 +8,9 @@
 //! * [`CacheConfig`] — validated geometry (size, line size, associativity),
 //! * [`InstructionCache`] — a line-accurate cache model with LRU replacement
 //!   covering direct-mapped and N-way set-associative organizations,
-//! * [`Simulator`] / [`simulate`] — trace-driven miss simulation of a
-//!   [`Layout`](tempo_program::Layout), producing [`SimStats`].
+//! * [`Simulator`] / [`simulate`] / [`simulate_layouts_streamed`] —
+//!   trace-driven miss simulation of one or several
+//!   [`Layout`](tempo_program::Layout)s, producing [`SimStats`].
 //!
 //! # Example
 //!
@@ -47,8 +48,5 @@ pub mod sweep;
 pub use cache::InstructionCache;
 pub use classify::{classify, MissBreakdown};
 pub use config::{CacheConfig, CacheConfigError};
-pub use sim::{simulate, simulate_source, SimStats, Simulator, BLOCK_RECORDS};
-pub use sweep::{
-    simulate_configs, simulate_layouts, simulate_layouts_masked, simulate_layouts_streamed,
-    SweepPanic,
-};
+pub use sim::{simulate, SimStats, Simulator, BLOCK_RECORDS};
+pub use sweep::simulate_layouts_streamed;

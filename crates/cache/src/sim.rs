@@ -4,7 +4,7 @@ use std::fmt;
 
 use tempo_program::{Layout, ProcId, Program};
 use tempo_trace::io::TraceIoError;
-use tempo_trace::{RecordBlock, Trace, TraceRecord, TraceSink, TraceSource};
+use tempo_trace::{MemorySource, RecordBlock, Trace, TraceRecord, TraceSink, TraceSource};
 
 use crate::{CacheConfig, InstructionCache};
 
@@ -74,10 +74,11 @@ impl fmt::Display for SimStats {
 
 /// An incremental trace-driven simulator.
 ///
-/// Feed it records one at a time ([`Simulator::step`]) or in bulk
-/// ([`Simulator::run`]); read the running totals from
-/// [`Simulator::stats`]. Use the [`simulate`] convenience function when the
-/// whole trace is available up front.
+/// Feed it records one at a time ([`Simulator::step`], the scalar
+/// reference) or in structure-of-arrays blocks ([`Simulator::step_block`]);
+/// read the running totals from [`Simulator::stats`]. [`simulate`] and
+/// [`simulate_layouts_streamed`](crate::simulate_layouts_streamed) drive
+/// whole traces through the block path.
 #[derive(Debug, Clone)]
 pub struct Simulator<'p> {
     program: &'p Program,
@@ -124,6 +125,10 @@ impl<'p> Simulator<'p> {
 
     /// Processes one trace record: touches every line of the executed extent
     /// of the record's procedure, starting at its layout address.
+    // Inlined so `step_block`'s set-associative loop never depends on
+    // codegen-unit partitioning for its per-record call (measured: an
+    // outlined call slowed that loop by 20% or more).
+    #[inline]
     pub fn step(&mut self, record: &TraceRecord) {
         let addr = self.layout.addr(record.proc);
         let bytes = record.bytes.min(self.program.size_of(record.proc));
@@ -178,34 +183,6 @@ impl<'p> Simulator<'p> {
         self.stats.instructions += instructions;
     }
 
-    /// Processes a sequence of records.
-    pub fn run<'a, I>(&mut self, records: I)
-    where
-        I: IntoIterator<Item = &'a TraceRecord>,
-    {
-        for r in records {
-            self.step(r);
-        }
-    }
-
-    /// Drains a [`TraceSource`], stepping the simulator on every record —
-    /// the streaming counterpart of [`run`](Simulator::run), in constant
-    /// memory.
-    ///
-    /// Pass `&mut source` to keep the source and inspect its warnings
-    /// afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error the source reports.
-    pub fn consume<S: TraceSource>(&mut self, mut source: S) -> Result<(), TraceIoError> {
-        let mut block = RecordBlock::with_capacity(BLOCK_RECORDS);
-        while source.try_next_block(&mut block, BLOCK_RECORDS)? > 0 {
-            self.step_block(&block.procs, &block.bytes);
-        }
-        Ok(())
-    }
-
     /// Running totals.
     pub fn stats(&self) -> SimStats {
         self.stats
@@ -224,7 +201,9 @@ impl<'p> Simulator<'p> {
 }
 
 /// Simulates a full trace against a layout with a cold cache and returns the
-/// statistics.
+/// statistics — the same block loop as
+/// [`simulate_layouts_streamed`](crate::simulate_layouts_streamed), fed from
+/// memory.
 ///
 /// # Panics
 ///
@@ -238,11 +217,31 @@ pub fn simulate(
     config: CacheConfig,
 ) -> SimStats {
     let start = std::time::Instant::now();
-    let mut sim = Simulator::new(program, layout, config);
-    sim.run(trace.iter());
-    let stats = sim.stats();
+    let mut sims = [Simulator::new(program, layout, config)];
+    run_blocks(&mut sims, &mut MemorySource::new(trace))
+        .unwrap_or_else(|e| unreachable!("in-memory sources cannot fail: {e}"));
+    let stats = sims[0].stats();
     note_sim(&stats, start.elapsed().as_secs_f64() * 1e3);
     stats
+}
+
+/// The one simulation block loop: pulls [`RecordBlock`]s of up to
+/// [`BLOCK_RECORDS`] from `source` and steps every simulator through each
+/// block before pulling the next, so N layouts share one decode. Returns
+/// the number of records pulled.
+pub(crate) fn run_blocks<S: TraceSource>(
+    sims: &mut [Simulator<'_>],
+    source: &mut S,
+) -> Result<u64, TraceIoError> {
+    let mut pulled = 0u64;
+    let mut block = RecordBlock::with_capacity(BLOCK_RECORDS);
+    while source.try_next_block(&mut block, BLOCK_RECORDS)? > 0 {
+        for sim in sims.iter_mut() {
+            sim.step_block(&block.procs, &block.bytes);
+        }
+        pulled += block.len() as u64;
+    }
+    Ok(pulled)
 }
 
 /// Reports one completed per-layout simulation pass to the global
@@ -271,33 +270,6 @@ impl TraceSink for Simulator<'_> {
     fn accept(&mut self, record: &TraceRecord) {
         self.step(record);
     }
-}
-
-/// Simulates a [`TraceSource`] against a layout with a cold cache — the
-/// streaming counterpart of [`simulate`], in constant memory.
-///
-/// # Errors
-///
-/// Propagates the first error the source reports.
-///
-/// # Panics
-///
-/// Panics if the stream references procedures outside the program (use a
-/// lossy source constructed with the program to repair such records first).
-pub fn simulate_source<S: TraceSource>(
-    program: &Program,
-    layout: &Layout,
-    source: S,
-    config: CacheConfig,
-) -> Result<SimStats, TraceIoError> {
-    let start = std::time::Instant::now();
-    let mut sim = Simulator::new(program, layout, config);
-    let mut source = source;
-    sim.consume(&mut source)?;
-    let stats = sim.stats();
-    tempo_trace::obs::note_read(stats.records, &source.warnings());
-    note_sim(&stats, start.elapsed().as_secs_f64() * 1e3);
-    Ok(stats)
 }
 
 #[cfg(test)]

@@ -1,140 +1,17 @@
-//! Parallel sweep evaluation: many simulations over one read-only trace.
+//! Multi-layout evaluation: several layouts against one pass over a trace.
 //!
-//! The evaluation matrix (benchmark × algorithm × cache config) hits the
-//! simulator in two hot shapes: *several layouts on one cache* (comparing
-//! algorithms) and *one layout on several caches* (geometry sweeps). Both
-//! are embarrassingly parallel — every cell reads the same program, trace,
-//! and layout data and owns its own [`InstructionCache`] — so these
-//! helpers fan the cells out over a [`tempo_par::Pool`] while keeping the
-//! result order equal to the input order, worker count notwithstanding.
+//! Comparing placement algorithms means simulating N layouts of one
+//! program against the same testing trace on the same cache. Every layout
+//! owns its own [`InstructionCache`](crate::InstructionCache), so the
+//! layouts can share the read: [`simulate_layouts_streamed`] pulls each
+//! decoded block once and steps it through all N simulators.
 
-use std::fmt;
-
-use tempo_par::{JobPanic, Pool};
 use tempo_program::{Layout, Program};
 use tempo_trace::io::TraceIoError;
-use tempo_trace::{Trace, TraceSource};
+use tempo_trace::TraceSource;
 
-use crate::{simulate, CacheConfig, SimStats, Simulator};
-
-/// A worker panic surfaced from a parallel sweep as a value: which cell
-/// failed (submission order) and the stringified panic payload.
-///
-/// Sweep cells are pure simulations over validated inputs, so a panic here
-/// means a layout/program mismatch upstream — but it is reported to the
-/// caller instead of crossing the pool boundary, so one poisoned cell
-/// cannot take down a whole evaluation matrix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepPanic {
-    /// Index of the failing cell among the submitted jobs (for masked
-    /// sweeps, the index among the cells that were actually simulated).
-    pub cell: usize,
-    /// The panic payload, stringified.
-    pub message: String,
-}
-
-impl fmt::Display for SweepPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sweep cell {} panicked: {}", self.cell, self.message)
-    }
-}
-
-impl std::error::Error for SweepPanic {}
-
-impl From<JobPanic> for SweepPanic {
-    fn from(p: JobPanic) -> Self {
-        SweepPanic {
-            cell: p.index,
-            message: p.message,
-        }
-    }
-}
-
-/// Simulates every layout in `layouts` against the same trace and cache
-/// config, in parallel, returning stats in `layouts` order.
-///
-/// # Errors
-///
-/// Returns the first worker panic as a [`SweepPanic`] (the simulator
-/// itself does not panic on validated inputs; a panic here means a
-/// layout/program mismatch upstream).
-pub fn simulate_layouts(
-    program: &Program,
-    layouts: &[Layout],
-    trace: &Trace,
-    config: CacheConfig,
-    pool: &Pool,
-) -> Result<Vec<SimStats>, SweepPanic> {
-    let jobs: Vec<_> = layouts
-        .iter()
-        .map(|layout| move || simulate(program, layout, trace, config))
-        .collect();
-    collect(pool.run(jobs))
-}
-
-/// Simulates one layout against every cache config in `configs`, in
-/// parallel, returning stats in `configs` order.
-///
-/// This is the §5.2-style geometry sweep: independent configs sharing one
-/// read-only trace.
-///
-/// # Errors
-///
-/// Returns the first worker panic as a [`SweepPanic`] (see
-/// [`simulate_layouts`]).
-pub fn simulate_configs(
-    program: &Program,
-    layout: &Layout,
-    trace: &Trace,
-    configs: &[CacheConfig],
-    pool: &Pool,
-) -> Result<Vec<SimStats>, SweepPanic> {
-    let jobs: Vec<_> = configs
-        .iter()
-        .map(|&config| move || simulate(program, layout, trace, config))
-        .collect();
-    collect(pool.run(jobs))
-}
-
-/// Simulates only the layouts whose mask slot is `true`, in parallel,
-/// returning `Some(stats)` for simulated slots and `None` for masked-out
-/// ones — the execution stage of a screened sweep (the mask typically
-/// comes from `tempo_analyze::screen_layouts`, which this crate cannot
-/// depend on; any prefilter works).
-///
-/// Increments the `analyze.simulated` counter once per simulated layout,
-/// so observability can report the screened/simulated split.
-///
-/// # Errors
-///
-/// Returns the first worker panic as a [`SweepPanic`] (the cell index
-/// counts simulated cells, not mask slots).
-///
-/// # Panics
-///
-/// Panics if `mask.len() != layouts.len()`.
-pub fn simulate_layouts_masked(
-    program: &Program,
-    layouts: &[Layout],
-    mask: &[bool],
-    trace: &Trace,
-    config: CacheConfig,
-    pool: &Pool,
-) -> Result<Vec<Option<SimStats>>, SweepPanic> {
-    assert_eq!(mask.len(), layouts.len(), "one mask slot per layout");
-    let jobs: Vec<_> = layouts
-        .iter()
-        .zip(mask)
-        .filter(|(_, &keep)| keep)
-        .map(|(layout, _)| move || simulate(program, layout, trace, config))
-        .collect();
-    tempo_obs::counter("analyze.simulated").add(jobs.len() as u64);
-    let mut stats = collect(pool.run(jobs))?.into_iter();
-    Ok(mask
-        .iter()
-        .map(|&keep| if keep { stats.next() } else { None })
-        .collect())
-}
+use crate::sim::{note_sim, run_blocks};
+use crate::{CacheConfig, SimStats, Simulator};
 
 /// Simulates every layout against one *shared* pass over a [`TraceSource`]:
 /// records are pulled in [`RecordBlock`](tempo_trace::RecordBlock) batches
@@ -142,10 +19,12 @@ pub fn simulate_layouts_masked(
 /// the next is decoded, so N layouts cost one trace read — and one varint
 /// decode per block — instead of N materialized passes.
 ///
-/// Results match [`simulate_layouts`] on the materialized trace exactly —
-/// every simulator owns its cache, so interleaving per block cannot change
-/// any cell's miss sequence, and the batched kernel is step-for-step
-/// equivalent to the scalar one.
+/// Results match per-layout [`simulate`](crate::simulate) on the
+/// materialized trace exactly — every simulator owns its cache, so
+/// interleaving per block cannot change any layout's miss sequence, and the
+/// batched kernel is step-for-step equivalent to the scalar one. Pass a
+/// [`MemorySource`](tempo_trace::MemorySource) to evaluate an in-memory
+/// trace.
 ///
 /// # Errors
 ///
@@ -161,35 +40,23 @@ pub fn simulate_layouts_streamed<S: TraceSource>(
         .iter()
         .map(|layout| Simulator::new(program, layout, config))
         .collect();
-    let mut pulled = 0u64;
-    let mut block = tempo_trace::RecordBlock::with_capacity(crate::sim::BLOCK_RECORDS);
-    while source.try_next_block(&mut block, crate::sim::BLOCK_RECORDS)? > 0 {
-        for sim in &mut sims {
-            sim.step_block(&block.procs, &block.bytes);
-        }
-        pulled += block.len() as u64;
-    }
+    let pulled = run_blocks(&mut sims, &mut source)?;
     tempo_trace::obs::note_read(pulled, &source.warnings());
     let all: Vec<SimStats> = sims.iter().map(Simulator::stats).collect();
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
     for stats in &all {
         // One shared pass: attribute the wall time to each layout's pass so
         // `sim.layout_ms` stays comparable with per-layout simulation.
-        crate::sim::note_sim(stats, elapsed_ms);
+        note_sim(stats, elapsed_ms);
     }
     Ok(all)
-}
-
-fn collect(results: Vec<Result<SimStats, JobPanic>>) -> Result<Vec<SimStats>, SweepPanic> {
-    results
-        .into_iter()
-        .map(|r| r.map_err(SweepPanic::from))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate;
+    use tempo_trace::Trace;
 
     fn fixture() -> (Program, Trace) {
         let program = Program::builder()
@@ -206,62 +73,44 @@ mod tests {
         (program, trace)
     }
 
-    #[test]
-    fn layouts_sweep_matches_serial_for_any_worker_count() {
-        let (program, trace) = fixture();
-        let config = CacheConfig::direct_mapped_8k();
-        let layouts = vec![
-            Layout::source_order(&program),
-            Layout::from_addresses(vec![0, 8192, 4096]),
-        ];
-        let serial: Vec<SimStats> = layouts
-            .iter()
-            .map(|l| simulate(&program, l, &trace, config))
-            .collect();
-        for workers in [1, 2, 4, 8] {
-            let par =
-                simulate_layouts(&program, &layouts, &trace, config, &Pool::new(workers)).unwrap();
-            assert_eq!(par, serial, "at {workers} workers");
-        }
-    }
-
+    /// Screened evaluation masks hopeless layouts out before the sweep:
+    /// the streamed sweep over the survivors answers in survivor order,
+    /// each slot matching a direct simulation of the layout it came from.
     #[test]
     fn masked_sweep_skips_and_preserves_order() {
         let (program, trace) = fixture();
         let config = CacheConfig::direct_mapped_8k();
-        let layouts = vec![
+        let layouts = [
             Layout::source_order(&program),
             Layout::from_addresses(vec![0, 8192, 4096]),
             Layout::from_addresses(vec![0, 12288, 4096]),
         ];
-        let mask = vec![true, false, true];
-        let out = simulate_layouts_masked(&program, &layouts, &mask, &trace, config, &Pool::new(2))
-            .unwrap();
-        assert_eq!(out.len(), 3);
-        assert!(out[1].is_none(), "masked-out slot is skipped");
-        for (i, keep) in [(0usize, true), (2, true)] {
-            assert_eq!(keep, out[i].is_some());
+        let mask = [true, false, true];
+        let survivors: Vec<Layout> = layouts
+            .iter()
+            .zip(mask)
+            .filter(|(_, keep)| *keep)
+            .map(|(layout, _)| layout.clone())
+            .collect();
+        let out = simulate_layouts_streamed(
+            &program,
+            &survivors,
+            tempo_trace::MemorySource::new(&trace),
+            config,
+        )
+        .unwrap();
+        assert_eq!(out.len(), 2, "masked-out slot is skipped");
+        assert_ne!(
+            out[0], out[1],
+            "the survivors are told apart by their misses"
+        );
+        for (slot, i) in [0usize, 2].into_iter().enumerate() {
             assert_eq!(
-                out[i].as_ref().unwrap(),
-                &simulate(&program, &layouts[i], &trace, config),
+                out[slot],
+                simulate(&program, &layouts[i], &trace, config),
                 "slot {i} matches a direct simulation"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "one mask slot per layout")]
-    fn masked_sweep_rejects_length_mismatch() {
-        let (program, trace) = fixture();
-        let layouts = vec![Layout::source_order(&program)];
-        let _ = simulate_layouts_masked(
-            &program,
-            &layouts,
-            &[true, false],
-            &trace,
-            CacheConfig::direct_mapped_8k(),
-            &Pool::new(1),
-        );
     }
 
     #[test]
@@ -272,10 +121,20 @@ mod tests {
             Layout::source_order(&program),
             Layout::from_addresses(vec![0, 8192, 4096]),
         ];
+        // Scalar reference: one `step` per record, no blocks.
         let serial: Vec<SimStats> = layouts
             .iter()
-            .map(|l| simulate(&program, l, &trace, config))
+            .map(|l| {
+                let mut sim = Simulator::new(&program, l, config);
+                for r in trace.iter() {
+                    sim.step(r);
+                }
+                sim.stats()
+            })
             .collect();
+        for (l, expected) in layouts.iter().zip(&serial) {
+            assert_eq!(simulate(&program, l, &trace, config), *expected);
+        }
         let streamed = simulate_layouts_streamed(
             &program,
             &layouts,
@@ -284,42 +143,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(streamed, serial);
-    }
-
-    #[test]
-    fn configs_sweep_matches_serial_for_any_worker_count() {
-        let (program, trace) = fixture();
-        let layout = Layout::source_order(&program);
-        let configs: Vec<CacheConfig> = [2048u32, 4096, 8192, 16384]
-            .iter()
-            .map(|&s| CacheConfig::direct_mapped(s).unwrap())
-            .collect();
-        let serial: Vec<SimStats> = configs
-            .iter()
-            .map(|&c| simulate(&program, &layout, &trace, c))
-            .collect();
-        for workers in [1, 3, 8] {
-            let par =
-                simulate_configs(&program, &layout, &trace, &configs, &Pool::new(workers)).unwrap();
-            assert_eq!(par, serial, "at {workers} workers");
-        }
-    }
-
-    #[test]
-    fn worker_panic_surfaces_as_a_typed_error() {
-        let (program, trace) = fixture();
-        // A layout that does not fit the program trips the simulator's
-        // input validation inside the worker.
-        let bogus = Layout::from_addresses(vec![0]);
-        let err = simulate_layouts(
-            &program,
-            &[Layout::source_order(&program), bogus],
-            &trace,
-            CacheConfig::direct_mapped_8k(),
-            &Pool::new(2),
-        )
-        .unwrap_err();
-        assert_eq!(err.cell, 1, "the failing cell is identified");
-        assert!(!err.message.is_empty());
     }
 }

@@ -9,8 +9,7 @@ use tempo::place::{TrgChains, WcgOffsets};
 use tempo::prelude::*;
 use tempo::trace::analysis::{reuse_distances, working_set_sizes};
 use tempo::trace::io::{ReadMode, TraceIoError, V1Source, V1Writer};
-use tempo::trace::v2::{V2Writer, DEFAULT_FRAME_RECORDS, MAGIC_V2};
-use tempo::trace::{open_v2_auto, open_v2_auto_lossy, ZeroCopySource};
+use tempo::trace::v2::{V2Source, V2Writer, DEFAULT_FRAME_RECORDS, MAGIC_V2};
 use tempo::trg::io::{read_profile, write_profile};
 use tempo::workloads::suite;
 
@@ -59,7 +58,7 @@ enum FileSource<'p> {
         index: u64,
     },
     V2 {
-        source: ZeroCopySource<'p>,
+        source: V2Source<'p, BufReader<File>>,
         validate: Option<&'p Program>,
         index: u64,
     },
@@ -113,10 +112,6 @@ impl TraceSource for FileSource<'_> {
 /// from the magic bytes (`TMPO` = v1, `TMP2` = v2). Lossy sources repair
 /// against `program` when one is given, structurally otherwise; no
 /// program-fit validation is attached (see [`open_file_source`]).
-///
-/// V2 containers go through [`open_v2_auto`], so small files are decoded
-/// zero-copy from one whole-file buffer and large ones stream frame by
-/// frame in constant memory (`TEMPO_STREAM_INGEST` forces either path).
 fn open_raw_source<'p>(
     path: &str,
     program: Option<&'p Program>,
@@ -138,12 +133,12 @@ fn open_raw_source<'p>(
             index: 0,
         },
         (true, ReadMode::Strict) => FileSource::V2 {
-            source: open_v2_auto(Path::new(path), None)?,
+            source: V2Source::new(r)?,
             validate: None,
             index: 0,
         },
         (true, ReadMode::Lossy) => FileSource::V2 {
-            source: open_v2_auto_lossy(Path::new(path), program, None)?,
+            source: V2Source::new_lossy(r, program)?,
             validate: None,
             index: 0,
         },
@@ -765,30 +760,45 @@ pub fn simulate(args: &ArgMap) -> Result<(), CliError> {
     let cache = args.cache()?;
     let want_classify = args.switch("classify");
 
+    if stream && want_classify {
+        return Err(CliError::Usage(
+            "--classify requires a materialized trace; drop --stream".to_string(),
+        ));
+    }
     let span = tempo_obs::span("stage.simulate");
-    let (stats, trace) = if stream {
-        if want_classify {
-            return Err(CliError::Usage(
-                "--classify requires a materialized trace; drop --stream".to_string(),
-            ));
-        }
-        let path = args.require("trace")?.to_string();
+    let path = args.require("trace")?.to_string();
+    let trace = if stream {
         let _ = args.get_parsed::<u64>("max-memory")?;
-        args.finish()?;
-        let mut source = open_file_source(&path, &program, mode).map_err(trace_cli_error)?;
-        let stats = tempo::cache::simulate_source(&program, &layout, &mut source, cache)
-            .map_err(trace_cli_error)?;
-        let warnings = source.warnings();
-        if !warnings.is_clean() {
-            eprintln!("tempo-cli: warning: --trace {path}: recovered ({warnings})");
-        }
-        (stats, None)
+        None
     } else {
-        let trace = load_trace(args, "trace", &program, mode)?;
-        args.finish()?;
-        let stats = tempo::cache::simulate(&program, &layout, &trace, cache);
-        (stats, Some(trace))
+        Some(load_trace(args, "trace", &program, mode)?)
     };
+    args.finish()?;
+    // One simulation call: a materialized trace streams from memory, a
+    // `--stream` trace straight from the file.
+    let mut memory;
+    let mut file;
+    let source: &mut dyn TraceSource = match &trace {
+        Some(trace) => {
+            memory = MemorySource::new(trace);
+            &mut memory
+        }
+        None => {
+            file = open_file_source(&path, &program, mode).map_err(trace_cli_error)?;
+            &mut file
+        }
+    };
+    let stats = tempo::cache::simulate_layouts_streamed(
+        &program,
+        std::slice::from_ref(&layout),
+        &mut *source,
+        cache,
+    )
+    .map_err(trace_cli_error)?[0];
+    let warnings = source.warnings();
+    if !warnings.is_clean() {
+        eprintln!("tempo-cli: warning: --trace {path}: recovered ({warnings})");
+    }
     span.finish();
     println!(
         "{} records, {} line accesses, {} instructions",

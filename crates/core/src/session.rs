@@ -1,10 +1,10 @@
 //! The profile → place → evaluate pipeline.
 
-use tempo_cache::{simulate, simulate_layouts_streamed, simulate_source, CacheConfig, SimStats};
+use tempo_cache::{simulate, simulate_layouts_streamed, CacheConfig, SimStats};
 use tempo_place::{place_with_fallback, Budget, Degradation, PlacementAlgorithm, PlacementContext};
 use tempo_program::{Layout, Program};
 use tempo_trace::io::TraceIoError;
-use tempo_trace::{Trace, TraceSource};
+use tempo_trace::{MemorySource, Trace, TraceSource};
 use tempo_trg::{PopularitySelector, ProfileData, ProfileWarnings, Profiler};
 
 /// Stage 1: a program plus profiling configuration.
@@ -239,23 +239,6 @@ impl<'p> ProfiledSession<'p> {
         simulate(self.program, layout, trace, self.profile.cache)
     }
 
-    /// Simulates a layout against a [`TraceSource`] on this session's
-    /// cache — the streaming counterpart of
-    /// [`evaluate`](ProfiledSession::evaluate), in constant memory and
-    /// producing identical statistics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error the source reports.
-    pub fn evaluate_source<S: TraceSource>(
-        &self,
-        layout: &Layout,
-        source: S,
-    ) -> Result<SimStats, TraceIoError> {
-        let _span = tempo_obs::span("stage.simulate");
-        simulate_source(self.program, layout, source, self.profile.cache)
-    }
-
     /// Simulates several layouts against one *shared* pass over a
     /// [`TraceSource`]: N layouts cost one trace read instead of N. Stats
     /// come back in `layouts` order and match per-layout
@@ -278,19 +261,15 @@ impl<'p> ProfiledSession<'p> {
     /// predicted cost, see `tempo_analyze::screen_layouts`) prove they
     /// cannot win are skipped, coming back as `None`. The screening
     /// verdict and the per-survivor stats share indices with `layouts`.
+    /// Survivors share one pass over `trace`.
     ///
     /// Counters: `analyze.screened` and `analyze.bound_width` from the
     /// screening pass, `analyze.simulated` per survivor.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`tempo_cache::SweepPanic`] if a simulation worker
-    /// panicked (a layout/program mismatch upstream).
     pub fn evaluate_screened(
         &self,
         layouts: &[Layout],
         trace: &Trace,
-    ) -> Result<(tempo_analyze::ScreenReport, Vec<Option<SimStats>>), tempo_cache::SweepPanic> {
+    ) -> (tempo_analyze::ScreenReport, Vec<Option<SimStats>>) {
         let refs: Vec<&Layout> = layouts.iter().collect();
         let screen = tempo_analyze::screen_layouts(
             self.program,
@@ -300,17 +279,32 @@ impl<'p> ProfiledSession<'p> {
             Some(&self.profile.trg_place),
             &refs,
         );
-        let mask: Vec<bool> = screen.layouts.iter().map(|s| !s.skip).collect();
-        let _span = tempo_obs::span("stage.simulate");
-        let stats = tempo_cache::simulate_layouts_masked(
-            self.program,
-            layouts,
-            &mask,
-            trace,
-            self.profile.cache,
-            &tempo_par::Pool::new(1),
-        )?;
-        Ok((screen, stats))
+        let survivors: Vec<Layout> = layouts
+            .iter()
+            .zip(&screen.layouts)
+            .filter(|(_, verdict)| !verdict.skip)
+            .map(|(layout, _)| layout.clone())
+            .collect();
+        tempo_obs::counter("analyze.simulated").add(survivors.len() as u64);
+        let simulated = if survivors.is_empty() {
+            Vec::new()
+        } else {
+            let _span = tempo_obs::span("stage.simulate");
+            simulate_layouts_streamed(
+                self.program,
+                &survivors,
+                MemorySource::new(trace),
+                self.profile.cache,
+            )
+            .unwrap_or_else(|e| unreachable!("in-memory sources cannot fail: {e}"))
+        };
+        let mut simulated = simulated.into_iter();
+        let stats = screen
+            .layouts
+            .iter()
+            .map(|verdict| if verdict.skip { None } else { simulated.next() })
+            .collect();
+        (screen, stats)
     }
 
     /// Returns a copy of this session with the profile's graphs perturbed
@@ -383,7 +377,7 @@ mod tests {
         // a and b stacked one cache apart: maximal conflict by design.
         let stacked = Layout::from_addresses(vec![0, 2048, 8192]);
         let candidates = vec![good.clone(), stacked];
-        let (screen, stats) = session.evaluate_screened(&candidates, &trace).unwrap();
+        let (screen, stats) = session.evaluate_screened(&candidates, &trace);
         assert_eq!(screen.layouts.len(), 2);
         assert!(!screen.layouts[0].skip, "the good layout survives");
         assert!(screen.layouts[1].skip, "the stacked layout is screened");
@@ -482,10 +476,6 @@ mod tests {
         assert_eq!(streamed.profile(), materialized.profile());
         let layout = materialized.place(&Gbsc::new());
         let sm = materialized.evaluate(&layout, &trace);
-        let ss = streamed
-            .evaluate_source(&layout, MemorySource::new(&trace))
-            .unwrap();
-        assert_eq!(sm, ss);
         let both = streamed
             .evaluate_layouts_streamed(
                 &[layout.clone(), Layout::source_order(&program)],

@@ -270,6 +270,20 @@ impl TraceSource for MemorySource<'_> {
     fn expected_records(&self) -> Option<u64> {
         Some(self.len)
     }
+    fn try_next_block(
+        &mut self,
+        block: &mut RecordBlock,
+        max: usize,
+    ) -> Result<usize, TraceIoError> {
+        block.clear();
+        let rest = self.records.as_slice();
+        let (head, tail) = rest.split_at(max.min(rest.len()));
+        for r in head {
+            block.push(r.proc.index(), r.bytes);
+        }
+        self.records = tail.iter();
+        Ok(head.len())
+    }
 }
 
 /// Streaming [`TraceStats`] accumulator.
@@ -366,6 +380,25 @@ mod tests {
         assert_eq!(summary.records, 3);
         assert!(summary.warnings.is_clean());
         assert_eq!(out, t);
+    }
+
+    #[test]
+    fn memory_source_blocks_split_the_slice() {
+        let t = sample();
+        let mut src = MemorySource::new(&t);
+        let mut block = RecordBlock::default();
+        assert_eq!(src.try_next_block(&mut block, 2).unwrap(), 2);
+        assert_eq!(
+            (block.procs.as_slice(), block.bytes.as_slice()),
+            (&[0, 2][..], &[100, 32][..])
+        );
+        assert_eq!(src.try_next_block(&mut block, 2).unwrap(), 1);
+        assert_eq!(
+            (block.procs.as_slice(), block.bytes.as_slice()),
+            (&[0][..], &[1][..])
+        );
+        assert_eq!(src.try_next_block(&mut block, 2).unwrap(), 0);
+        assert!(block.is_empty());
     }
 
     #[test]

@@ -47,9 +47,11 @@
 //! # Ok::<(), tempo_trace::io::TraceIoError>(())
 //! ```
 
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::{BufReader, Read, Write};
+use std::path::Path;
 
-use tempo_program::Program;
+use tempo_program::{ProcId, Program};
 
 use crate::io::{repair_record, ReadMode, TraceIoError, TraceWarnings};
 use crate::source::{RecordBlock, TraceSink, TraceSource};
@@ -169,49 +171,101 @@ fn read_varint_long(buf: &[u8], pos: &mut usize) -> Option<u32> {
     }
 }
 
-/// Why a CRC-valid frame payload failed to decode.
+// ---------------------------------------------------------------------
+// Frame validation (shared by `V2Source` and `decode_frame`)
+// ---------------------------------------------------------------------
+
+/// Why a frame failed validation. [`V2Source`] maps these onto its
+/// strict/lossy defect handling and [`decode_frame`] onto [`FrameDefect`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FrameDecodeDefect {
-    /// A record varint was truncated, over-long, or overflowed 32 bits
-    /// (also the symptom of a declared record count exceeding the payload).
+enum FrameFault {
+    /// The declared payload length exceeds [`MAX_FRAME_PAYLOAD`].
+    Oversized,
+    /// The payload does not match the header's CRC-32.
+    Checksum,
+    /// A record count the payload cannot hold (two bytes per record
+    /// minimum), or payload bytes left over after the declared count.
+    Malformed,
+    /// A record varint was truncated, over-long, or overflowed 32 bits.
     Varint,
-    /// Payload bytes remained after the declared record count was decoded.
-    TrailingBytes,
+    /// A zero-extent record at this index within the frame.
+    ZeroExtent(usize),
 }
 
-/// Decodes a frame payload of `record_count` varint pairs into parallel
-/// `procs`/`bytes` columns (cleared first) — the shared SoA decoder behind
-/// both the streaming [`V2Source`] and the zero-copy
-/// [`MmapSource`](crate::mmap::MmapSource), so the two paths cannot drift.
-pub(crate) fn decode_frame_soa(
-    payload: &[u8],
-    record_count: usize,
-    procs: &mut Vec<u32>,
-    bytes: &mut Vec<u32>,
-) -> Result<(), FrameDecodeDefect> {
-    procs.clear();
-    bytes.clear();
-    // The preallocation must not trust the header: cap the reservation by
-    // what the payload can physically hold (two bytes per record minimum),
-    // so a hostile count can never turn into a huge allocation.
-    let cap = record_count.min(payload.len() / 2);
-    procs.reserve(cap);
-    bytes.reserve(cap);
-    let mut pos = 0usize;
-    for _ in 0..record_count {
-        let (Some(proc), Some(extent)) = (
-            read_varint(payload, &mut pos),
-            read_varint(payload, &mut pos),
-        ) else {
-            return Err(FrameDecodeDefect::Varint);
+/// The 12-byte frame header, parsed and bounded.
+#[derive(Debug, Clone, Copy)]
+struct FrameHeader {
+    payload_len: u32,
+    record_count: u32,
+    crc: u32,
+}
+
+impl FrameHeader {
+    /// Parses a frame header. The length prefix is untrusted: a payload
+    /// over [`MAX_FRAME_PAYLOAD`] is rejected before anything is read or
+    /// allocated for it.
+    fn parse(header: &[u8; FRAME_HEADER_LEN]) -> Result<Self, FrameFault> {
+        let word =
+            |i: usize| u32::from_le_bytes([header[i], header[i + 1], header[i + 2], header[i + 3]]);
+        let parsed = FrameHeader {
+            payload_len: word(0),
+            record_count: word(4),
+            crc: word(8),
         };
-        procs.push(proc);
-        bytes.push(extent);
+        if parsed.payload_len > MAX_FRAME_PAYLOAD {
+            return Err(FrameFault::Oversized);
+        }
+        Ok(parsed)
     }
-    if pos != payload.len() {
-        return Err(FrameDecodeDefect::TrailingBytes);
+
+    /// Validates `payload` (exactly `payload_len` bytes) against this
+    /// header and decodes it into the parallel `procs`/`bytes` columns,
+    /// cleared first: CRC, record-count plausibility, varint integrity, no
+    /// trailing bytes, and — when `reject_zero` is set — the strict
+    /// zero-extent rule. The whole frame decodes before any record is
+    /// used, so a defect invalidates the frame atomically.
+    fn decode(
+        &self,
+        payload: &[u8],
+        procs: &mut Vec<u32>,
+        bytes: &mut Vec<u32>,
+        reject_zero: bool,
+    ) -> Result<(), FrameFault> {
+        procs.clear();
+        bytes.clear();
+        if crc32(payload) != self.crc {
+            return Err(FrameFault::Checksum);
+        }
+        // The declared count is untrusted too: every record takes at least
+        // two payload bytes, so a count the payload cannot hold is
+        // corruption, not an allocation request.
+        if u64::from(self.record_count) * 2 > payload.len() as u64 {
+            return Err(FrameFault::Malformed);
+        }
+        let count = self.record_count as usize;
+        procs.reserve(count);
+        bytes.reserve(count);
+        let mut pos = 0usize;
+        for _ in 0..count {
+            let (Some(proc), Some(extent)) = (
+                read_varint(payload, &mut pos),
+                read_varint(payload, &mut pos),
+            ) else {
+                return Err(FrameFault::Varint);
+            };
+            procs.push(proc);
+            bytes.push(extent);
+        }
+        if pos != payload.len() {
+            return Err(FrameFault::Malformed);
+        }
+        if reject_zero {
+            if let Some(i) = bytes.iter().position(|&b| b == 0) {
+                return Err(FrameFault::ZeroExtent(i));
+            }
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -343,25 +397,32 @@ pub fn write_binary_v2<W: Write>(w: W, trace: &Trace) -> Result<(), TraceIoError
 // Reader
 // ---------------------------------------------------------------------
 
-/// Streaming v2 reader, strict or lossy.
+/// The TMP2 reader, strict or lossy.
 ///
 /// Holds one frame in memory at a time, so memory use is bounded by
-/// [`MAX_FRAME_PAYLOAD`] regardless of trace length. Strict readers fail
-/// on the first defective frame; lossy readers skip defective frames
-/// (tallying [`TraceWarnings::bad_frames`]) and apply the shared per-record
-/// repairs (zero extents dropped, unknown procedures dropped and oversized
-/// extents clamped when a [`Program`] is supplied).
+/// [`MAX_FRAME_PAYLOAD`] regardless of trace length. Each payload is read
+/// into one reused buffer that grows only by bytes actually read, so a
+/// header that lies about its length costs the bytes present, not an
+/// allocation of the declared size. Frames decode into reused
+/// structure-of-arrays columns, which [`try_next_block`](TraceSource::try_next_block)
+/// hands out with two slice copies per frame.
+///
+/// Strict readers fail on the first defective frame; lossy readers skip
+/// defective frames (tallying [`TraceWarnings::bad_frames`]) and apply the
+/// shared per-record repairs in place (zero extents dropped, unknown
+/// procedures dropped and oversized extents clamped when a [`Program`] is
+/// supplied).
 #[derive(Debug)]
 pub struct V2Source<'p, R> {
     reader: R,
     mode: ReadMode,
     program: Option<&'p Program>,
-    /// Decoded records of the current frame, drained front to back.
-    frame: Vec<TraceRecord>,
-    /// SoA decode scratch, reused across frames (see [`decode_frame_soa`]).
-    soa_procs: Vec<u32>,
-    soa_bytes: Vec<u32>,
-    /// Next index to yield from `frame`.
+    /// The current frame's payload bytes, reused across frames.
+    payload: Vec<u8>,
+    /// Decoded (and, in lossy mode, repaired) records of the current frame.
+    procs: Vec<u32>,
+    bytes: Vec<u32>,
+    /// Next index to yield from the columns.
     cursor: usize,
     /// 0-based index of the next frame to read.
     frame_index: u64,
@@ -372,11 +433,12 @@ pub struct V2Source<'p, R> {
 }
 
 impl<R: Read> V2Source<'static, R> {
-    /// Opens a strict streaming reader, validating the header.
+    /// Opens a strict reader, validating the header.
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors, bad magic, or an unsupported version.
+    /// Fails on I/O errors (an input shorter than the 4-byte magic is an
+    /// `UnexpectedEof` I/O error), bad magic, or an unsupported version.
     pub fn new(mut r: R) -> Result<Self, TraceIoError> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
@@ -389,26 +451,20 @@ impl<R: Read> V2Source<'static, R> {
         if version != VERSION_V2 {
             return Err(TraceIoError::UnsupportedVersion(version));
         }
-        Ok(V2Source {
-            reader: r,
-            mode: ReadMode::Strict,
-            program: None,
-            frame: Vec::new(),
-            soa_procs: Vec::new(),
-            soa_bytes: Vec::new(),
-            cursor: 0,
-            frame_index: 0,
-            record_index: 0,
-            warnings: TraceWarnings::default(),
-            done: false,
-        })
+        Ok(V2Source::with_header(
+            r,
+            ReadMode::Strict,
+            None,
+            TraceWarnings::default(),
+            false,
+        ))
     }
 }
 
 impl<'p, R: Read> V2Source<'p, R> {
-    /// Opens a lossy streaming reader: a mangled header is tallied, corrupt
-    /// frames are skipped, and per-record defects are repaired against
-    /// `program` when given.
+    /// Opens a lossy reader: a mangled header is tallied, corrupt frames
+    /// are skipped, and per-record defects are repaired against `program`
+    /// when given.
     ///
     /// # Errors
     ///
@@ -424,106 +480,109 @@ impl<'p, R: Read> V2Source<'p, R> {
             }
             done = true;
         } else {
-            if header[0..4] != MAGIC_V2 {
-                warnings.header_mangled += 1;
-            }
-            let version = u32::from_le_bytes(header[4..8].try_into().expect("slice is 4 bytes"));
-            if version != VERSION_V2 && header[0..4] == MAGIC_V2 {
+            let magic_ok = header[0..4] == MAGIC_V2;
+            let version = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+            if !magic_ok || version != VERSION_V2 {
                 warnings.header_mangled += 1;
             }
         }
-        Ok(V2Source {
-            reader: r,
-            mode: ReadMode::Lossy,
+        Ok(V2Source::with_header(
+            r,
+            ReadMode::Lossy,
             program,
-            frame: Vec::new(),
-            soa_procs: Vec::new(),
-            soa_bytes: Vec::new(),
+            warnings,
+            done,
+        ))
+    }
+
+    fn with_header(
+        reader: R,
+        mode: ReadMode,
+        program: Option<&'p Program>,
+        warnings: TraceWarnings,
+        done: bool,
+    ) -> Self {
+        V2Source {
+            reader,
+            mode,
+            program,
+            payload: Vec::new(),
+            procs: Vec::new(),
+            bytes: Vec::new(),
             cursor: 0,
             frame_index: 0,
             record_index: 0,
             warnings,
             done,
-        })
+        }
     }
 
-    /// Reads and decodes the next frame into `self.frame`. Returns `false`
-    /// at clean end of input. Lossy mode skips corrupt frames (leaving
-    /// `self.frame` empty) and reports them via warnings; the caller loops.
+    /// Reads and decodes the next frame into the columns. Returns `false`
+    /// at clean end of input. Lossy mode skips corrupt frames (leaving the
+    /// columns empty) and reports them via warnings; the caller loops.
     fn load_frame(&mut self) -> Result<bool, TraceIoError> {
-        self.frame.clear();
+        self.procs.clear();
+        self.bytes.clear();
         self.cursor = 0;
         let index = self.frame_index;
 
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        let filled = crate::io::read_fully(&mut self.reader, &mut header)?;
+        let mut raw = [0u8; FRAME_HEADER_LEN];
+        let filled = crate::io::read_fully(&mut self.reader, &mut raw)?;
         if filled == 0 {
             self.done = true;
             return Ok(false);
         }
-        if filled < header.len() {
+        if filled < raw.len() {
             return self.frame_defect(index, /* skippable */ false);
         }
-        let payload_len = u32::from_le_bytes(header[0..4].try_into().expect("slice is 4 bytes"));
-        let record_count = u32::from_le_bytes(header[4..8].try_into().expect("slice is 4 bytes"));
-        let crc = u32::from_le_bytes(header[8..12].try_into().expect("slice is 4 bytes"));
-        if payload_len > MAX_FRAME_PAYLOAD {
+        let Ok(header) = FrameHeader::parse(&raw) else {
             // The length prefix itself is untrustworthy: resync is
             // impossible, so even lossy readers stop here.
             return self.frame_defect(index, false);
-        }
-        let mut payload = vec![0u8; payload_len as usize];
-        let filled = crate::io::read_fully(&mut self.reader, &mut payload)?;
-        if filled < payload.len() {
+        };
+        self.payload.clear();
+        let want = u64::from(header.payload_len);
+        let got = (&mut self.reader)
+            .take(want)
+            .read_to_end(&mut self.payload)?;
+        if (got as u64) < want {
             return self.frame_defect(index, false);
         }
         self.frame_index += 1;
-        if crc32(&payload) != crc {
-            return self.frame_defect(index, true);
-        }
-        // The declared record count is untrusted too: every record takes at
-        // least two payload bytes, so a count the payload cannot hold is
-        // corruption, not an allocation request.
-        if u64::from(record_count) * 2 > payload_len as u64 {
-            return self.frame_defect(index, true);
-        }
-
-        // Decode the whole frame up front so a malformed record invalidates
-        // the frame atomically (the CRC passed, so this only fires on
-        // writer bugs or collisions).
-        if let Err(defect) = decode_frame_soa(
-            &payload,
-            record_count as usize,
-            &mut self.soa_procs,
-            &mut self.soa_bytes,
-        ) {
-            if self.mode == ReadMode::Lossy && defect == FrameDecodeDefect::Varint {
+        let strict = self.mode == ReadMode::Strict;
+        if let Err(fault) = header.decode(&self.payload, &mut self.procs, &mut self.bytes, strict) {
+            self.procs.clear();
+            self.bytes.clear();
+            if let FrameFault::ZeroExtent(i) = fault {
+                self.done = true;
+                return Err(TraceIoError::ZeroExtent {
+                    index: self.record_index + i as u64,
+                });
+            }
+            if !strict && fault == FrameFault::Varint {
                 self.warnings.varint_defects += 1;
             }
             return self.frame_defect(index, true);
         }
-        for i in 0..self.soa_procs.len() {
-            let (proc, bytes) = (self.soa_procs[i], self.soa_bytes[i]);
-            match self.mode {
-                ReadMode::Strict => {
-                    if bytes == 0 {
-                        self.done = true;
-                        return Err(TraceIoError::ZeroExtent {
-                            index: self.record_index + self.frame.len() as u64,
-                        });
-                    }
-                    self.frame
-                        .push(TraceRecord::new(tempo_program::ProcId::new(proc), bytes));
-                }
-                ReadMode::Lossy => {
-                    if let Some(r) = repair_record(proc, bytes, self.program, &mut self.warnings) {
-                        self.frame.push(r);
-                    } else {
-                        // Dropped records still advance the strict record
-                        // index space; they are counted per-defect instead.
-                    }
+        if !strict {
+            // Repair in place, compacting dropped records out of the
+            // columns. Dropped records do not advance the strict record
+            // index space; they are counted per defect instead.
+            let mut keep = 0usize;
+            for i in 0..self.procs.len() {
+                if let Some(r) = repair_record(
+                    self.procs[i],
+                    self.bytes[i],
+                    self.program,
+                    &mut self.warnings,
+                ) {
+                    self.procs[keep] = r.proc.index();
+                    self.bytes[keep] = r.bytes;
+                    keep += 1;
                 }
             }
+            self.procs.truncate(keep);
+            self.bytes.truncate(keep);
         }
         Ok(true)
     }
@@ -547,15 +606,19 @@ impl<'p, R: Read> V2Source<'p, R> {
 impl<R: Read> TraceSource for V2Source<'_, R> {
     fn try_next(&mut self) -> Result<Option<TraceRecord>, TraceIoError> {
         loop {
-            if let Some(r) = self.frame.get(self.cursor) {
+            if self.cursor < self.procs.len() {
+                let r = TraceRecord::new(
+                    ProcId::new(self.procs[self.cursor]),
+                    self.bytes[self.cursor],
+                );
                 self.cursor += 1;
                 self.record_index += 1;
-                return Ok(Some(*r));
+                return Ok(Some(r));
             }
             if self.done {
                 return Ok(None);
             }
-            // Loop: a lossy skip yields an empty frame buffer.
+            // Loop: a lossy skip leaves the columns empty.
             self.load_frame()?;
         }
     }
@@ -574,18 +637,19 @@ impl<R: Read> TraceSource for V2Source<'_, R> {
             return Ok(0);
         }
         loop {
-            while block.len() < max {
-                let Some(r) = self.frame.get(self.cursor) else {
-                    break;
-                };
-                self.cursor += 1;
-                self.record_index += 1;
-                block.push(r.proc.index(), r.bytes);
+            let take = (self.procs.len() - self.cursor).min(max);
+            if take > 0 {
+                let range = self.cursor..self.cursor + take;
+                block.procs.extend_from_slice(&self.procs[range.clone()]);
+                block.bytes.extend_from_slice(&self.bytes[range]);
+                self.cursor += take;
+                self.record_index += take as u64;
+                // Frame-granular: a drained frame ends the block even
+                // short of `max`, so blocks line up with decode units.
+                return Ok(take);
             }
-            // Frame-granular: a drained frame ends the block even short of
-            // `max`, so blocks line up with decode units.
-            if !block.is_empty() || self.done {
-                return Ok(block.len());
+            if self.done {
+                return Ok(0);
             }
             self.load_frame()?;
         }
@@ -660,41 +724,30 @@ impl std::error::Error for FrameDefect {}
 ///
 /// Returns the [`FrameDefect`] describing the first validation failure.
 pub fn decode_frame(frame: &[u8]) -> Result<Vec<TraceRecord>, FrameDefect> {
-    if frame.len() < FRAME_HEADER_LEN {
+    let Some((raw, body)) = frame.split_first_chunk::<FRAME_HEADER_LEN>() else {
         return Err(FrameDefect::Truncated);
-    }
-    let payload_len = u32::from_le_bytes(frame[0..4].try_into().expect("slice is 4 bytes"));
-    let record_count = u32::from_le_bytes(frame[4..8].try_into().expect("slice is 4 bytes"));
-    let crc = u32::from_le_bytes(frame[8..12].try_into().expect("slice is 4 bytes"));
-    if payload_len > MAX_FRAME_PAYLOAD {
-        return Err(FrameDefect::Oversized);
-    }
-    let body = &frame[FRAME_HEADER_LEN..];
-    let declared = payload_len as usize;
+    };
+    let header = FrameHeader::parse(raw).map_err(|_| FrameDefect::Oversized)?;
+    let declared = header.payload_len as usize;
     if body.len() < declared {
         return Err(FrameDefect::Truncated);
     }
     if body.len() > declared {
         return Err(FrameDefect::TrailingBytes);
     }
-    if crc32(body) != crc {
-        return Err(FrameDefect::Checksum);
-    }
-    if u64::from(record_count) * 2 > u64::from(payload_len) {
-        return Err(FrameDefect::Malformed);
-    }
     let mut procs = Vec::new();
     let mut bytes = Vec::new();
-    decode_frame_soa(body, record_count as usize, &mut procs, &mut bytes)
-        .map_err(|_| FrameDefect::Malformed)?;
-    let mut records = Vec::with_capacity(procs.len());
-    for (&proc, &extent) in procs.iter().zip(&bytes) {
-        if extent == 0 {
-            return Err(FrameDefect::Malformed);
-        }
-        records.push(TraceRecord::new(tempo_program::ProcId::new(proc), extent));
-    }
-    Ok(records)
+    header
+        .decode(body, &mut procs, &mut bytes, true)
+        .map_err(|fault| match fault {
+            FrameFault::Checksum => FrameDefect::Checksum,
+            _ => FrameDefect::Malformed,
+        })?;
+    Ok(procs
+        .iter()
+        .zip(&bytes)
+        .map(|(&proc, &extent)| TraceRecord::new(ProcId::new(proc), extent))
+        .collect())
 }
 
 // ---------------------------------------------------------------------
@@ -792,6 +845,35 @@ pub fn read_binary_v2_lossy<R: Read>(
         trace.push(rec);
     }
     Ok((trace, source.warnings()))
+}
+
+/// Opens a TMP2 file strictly as a buffered [`V2Source`].
+///
+/// `budget` selects nothing: there is one reader, and it holds one frame
+/// at a time whatever the file size. The parameter stays so existing
+/// callers keep compiling.
+///
+/// # Errors
+///
+/// Fails on I/O errors, bad magic, or an unsupported version.
+pub fn open_v2_auto(
+    path: &Path,
+    _budget: Option<u64>,
+) -> Result<V2Source<'static, BufReader<File>>, TraceIoError> {
+    V2Source::new(BufReader::new(File::open(path)?))
+}
+
+/// Lossy counterpart of [`open_v2_auto`]: defects are repaired against
+/// `program` and tallied instead of raised.
+///
+/// # Errors
+///
+/// Fails only on genuine I/O errors.
+pub fn open_v2_auto_lossy<'p>(
+    path: &Path,
+    program: Option<&'p Program>,
+) -> Result<V2Source<'p, BufReader<File>>, TraceIoError> {
+    V2Source::new_lossy(BufReader::new(File::open(path)?), program)
 }
 
 #[cfg(test)]
@@ -1110,6 +1192,113 @@ mod tests {
             read_binary_v2(&buf[..]).unwrap_err(),
             TraceIoError::CorruptFrame { frame: 0 }
         ));
+    }
+
+    #[test]
+    fn v2_block_path_matches_scalar_path() {
+        let records: Vec<_> = (0..5_000u32)
+            .map(|i| TraceRecord::new(ProcId::new(i % 97), (i % 1000) + 1))
+            .collect();
+        let mut buf = Vec::new();
+        let mut w = V2Writer::with_frame_records(&mut buf, 300).unwrap();
+        for r in &records {
+            w.push(r).unwrap();
+        }
+        w.finish().unwrap();
+        let mut src = V2Source::new(buf.as_slice()).unwrap();
+        let mut block = RecordBlock::default();
+        let mut rebuilt = Vec::new();
+        while src.try_next_block(&mut block, 128).unwrap() > 0 {
+            assert!(block.len() <= 128);
+            for i in 0..block.len() {
+                rebuilt.push(TraceRecord::new(
+                    ProcId::new(block.procs[i]),
+                    block.bytes[i],
+                ));
+            }
+        }
+        assert_eq!(rebuilt, records);
+    }
+
+    #[test]
+    fn v2_lossy_tallies_varint_defects() {
+        // CRC-valid frame whose payload is a single over-long varint.
+        let payload = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x01];
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC_V2);
+        buf.extend_from_slice(&VERSION_V2.to_le_bytes());
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&crc32(&payload).to_le_bytes());
+        buf.extend_from_slice(&payload);
+        let (back, w) = read_binary_v2_lossy(buf.as_slice(), None).unwrap();
+        assert!(back.is_empty());
+        assert_eq!(w.bad_frames, 1);
+        assert_eq!(w.varint_defects, 1);
+        // varint_defects is a sub-tally: total() counts the frame once.
+        assert_eq!(w.total(), 1);
+    }
+
+    #[test]
+    fn v2_input_shorter_than_the_magic_is_an_eof() {
+        // Strict: fewer than four bytes cannot be sniffed, so the reader
+        // reports the I/O EOF rather than a bad magic.
+        for short in [&b""[..], b"T", b"TMP"] {
+            let err = V2Source::new(short).unwrap_err();
+            assert!(
+                matches!(&err, TraceIoError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+                "{short:?}: {err:?}"
+            );
+        }
+        // Lossy: a non-empty stub is a mangled header with no records.
+        let (back, w) = read_binary_v2_lossy(&b"TMP"[..], None).unwrap();
+        assert!(back.is_empty());
+        assert_eq!(w.header_mangled, 1);
+        let (_, w) = read_binary_v2_lossy(&b""[..], None).unwrap();
+        assert!(w.is_clean());
+    }
+
+    #[test]
+    fn v2_lying_length_prefix_costs_only_the_bytes_present() {
+        // A header declaring the largest legal payload over two real bytes:
+        // the reader must not allocate the declared size up front.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC_V2);
+        buf.extend_from_slice(&VERSION_V2.to_le_bytes());
+        buf.extend_from_slice(&MAX_FRAME_PAYLOAD.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&[7, 9]);
+        let mut src = V2Source::new_lossy(buf.as_slice(), None).unwrap();
+        assert_eq!(src.try_next().unwrap(), None);
+        assert_eq!(src.warnings().bad_frames, 1);
+        assert!(
+            src.payload.capacity() < 4096,
+            "payload buffer grew to {} bytes",
+            src.payload.capacity()
+        );
+    }
+
+    #[test]
+    fn open_v2_auto_reads_the_file_whatever_the_budget() {
+        let t = sample_trace();
+        let dir = std::env::temp_dir().join("tempo_v2_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("open_auto.v2");
+        let mut buf = Vec::new();
+        write_binary_v2(&mut buf, &t).unwrap();
+        std::fs::write(&path, &buf).unwrap();
+        for budget in [None, Some(0), Some(u64::MAX)] {
+            let mut src = open_v2_auto(&path, budget).unwrap();
+            let mut back = Trace::new();
+            crate::pump(&mut src, &mut back).unwrap();
+            assert_eq!(back, t, "budget {budget:?}");
+        }
+        let mut lossy = open_v2_auto_lossy(&path, None).unwrap();
+        let mut back = Trace::new();
+        crate::pump(&mut lossy, &mut back).unwrap();
+        assert_eq!(back, t);
+        assert!(lossy.warnings().is_clean());
     }
 
     #[test]

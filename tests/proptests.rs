@@ -295,14 +295,14 @@ proptest! {
     /// Records whose fields sit at LEB128 encoding-length boundaries
     /// (1↔2 bytes at 0x7F/0x80, 2↔3 at 0x3FFF/0x4000, and the 5-byte
     /// ceiling at `u32::MAX`) survive the v2 container exactly, through
-    /// both the streaming and the whole-buffer reader.
+    /// both the record-at-a-time and the block path of the reader.
     #[test]
     fn v2_roundtrips_at_varint_boundaries(
         picks in prop::collection::vec((0usize..8, 0usize..7, -1i64..=1), 1..100),
         frame_records in 1usize..20,
     ) {
-        use tempo::trace::v2::V2Writer;
-        use tempo::trace::MmapSource;
+        use tempo::trace::v2::{V2Source, V2Writer};
+        use tempo::trace::RecordBlock;
 
         const EDGES: [u32; 8] = [0, 0x7F, 0x80, 0x3FFF, 0x4000, 0x001F_FFFF, 0x0020_0000, u32::MAX];
         let records: Vec<TraceRecord> = picks
@@ -323,10 +323,20 @@ proptest! {
 
         let streamed = tempo::trace::v2::read_binary_v2(buf.as_slice()).unwrap();
         prop_assert_eq!(streamed.records(), trace.records());
-        let mut mapped = MmapSource::from_bytes(buf).unwrap();
-        let mut back = Trace::default();
-        tempo::trace::pump(&mut mapped, &mut back).unwrap();
-        prop_assert_eq!(back.records(), trace.records());
+        let mut source = V2Source::new(buf.as_slice()).unwrap();
+        let mut block = RecordBlock::default();
+        let mut back = Vec::new();
+        while source.try_next_block(&mut block, usize::MAX).unwrap() > 0 {
+            prop_assert!(block.len() <= frame_records);
+            back.extend(
+                block
+                    .procs
+                    .iter()
+                    .zip(&block.bytes)
+                    .map(|(&p, &b)| TraceRecord::new(ProcId::new(p), b)),
+            );
+        }
+        prop_assert_eq!(back.as_slice(), trace.records());
     }
 }
 

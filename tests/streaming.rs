@@ -11,6 +11,7 @@ use proptest::prelude::*;
 use tempo::prelude::*;
 use tempo::trace::io::{write_binary, V1Source};
 use tempo::trace::v2::{read_binary_v2_lossy, write_binary_v2, V2Source};
+use tempo::trace::RecordBlock;
 use tempo::workloads::suite;
 
 /// Pins the tentpole guarantee end to end: one materialized reference
@@ -82,9 +83,9 @@ fn streaming_matches_materialized_across_all_sources() {
         .collect();
     for (layout, expected) in layouts.iter().zip(&materialized) {
         let streamed = reference
-            .evaluate_source(layout, model.testing_source(records))
+            .evaluate_layouts_streamed(std::slice::from_ref(layout), model.testing_source(records))
             .unwrap();
-        assert_eq!(streamed, *expected, "per-layout streaming drifted");
+        assert_eq!(streamed, [*expected], "per-layout streaming drifted");
     }
     let swept = reference
         .evaluate_layouts_streamed(&layouts, model.testing_source(records))
@@ -92,79 +93,58 @@ fn streaming_matches_materialized_across_all_sources() {
     assert_eq!(swept, materialized, "shared-stream sweep drifted");
 }
 
-/// Pins the zero-copy ingestion path on a Table-1 workload: the
-/// whole-buffer `MmapSource` and the streaming `V2Source` must yield
-/// identical records, identical profiles, and identical miss counts, and
-/// `open_v2_auto` must land on both paths depending on its budget.
+/// Pins TMP2 file ingestion on a Table-1 workload: the file read back
+/// through `open_v2_auto` must yield the materialized trace's records,
+/// profile, and miss counts exactly.
 #[test]
-fn mmap_ingestion_matches_streaming_on_table1_workload() {
-    use tempo::trace::{open_v2_auto, MmapSource, TraceSource};
+fn file_ingestion_matches_materialized_on_table1_workload() {
+    use tempo::trace::open_v2_auto;
 
     let model = suite::m88ksim();
     let program = model.program();
     let cache = CacheConfig::direct_mapped_8k();
     let records = 30_000;
 
-    // Round-trip the training trace through a TMP2 file on disk.
+    // Round-trip the training trace through a TMP2 file on disk, at a
+    // frame size that leaves a partial last frame.
     let dir = std::env::temp_dir().join("tempo_streaming_tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("table1.v2");
     let train = model.training_trace(records);
-    let mut buf = Vec::new();
-    write_binary_v2(&mut buf, &train).unwrap();
-    std::fs::write(&path, &buf).unwrap();
+    std::fs::write(&path, v2_bytes(&train, 4096)).unwrap();
 
-    // Record-for-record equality of the two readers.
-    let mut mapped = MmapSource::open(&path).unwrap();
-    let mut streamed = V2Source::new(buf.as_slice()).unwrap();
-    loop {
-        let (a, b) = (mapped.try_next().unwrap(), streamed.try_next().unwrap());
-        assert_eq!(a, b, "readers disagree");
-        if a.is_none() {
-            break;
-        }
-    }
+    // Record-for-record equality with the materialized trace.
+    let mut source = open_v2_auto(&path, None).unwrap();
+    let mut back = Trace::default();
+    pump(&mut source, &mut back).unwrap();
+    assert!(source.warnings().is_clean());
+    assert_eq!(back.records(), train.records(), "file records drifted");
 
     // Identical profiles...
-    let (via_mmap, warnings) = Session::new(program, cache)
-        .profile_with(|| MmapSource::open(&path))
+    let reference = Session::new(program, cache).profile(&train);
+    let (from_file, warnings) = Session::new(program, cache)
+        .profile_with(|| open_v2_auto(&path, None))
         .unwrap();
     assert!(warnings.is_clean());
-    let (via_stream, _) = Session::new(program, cache)
-        .profile_with(|| V2Source::new(buf.as_slice()))
-        .unwrap();
     assert!(
-        via_mmap.profile() == via_stream.profile(),
-        "mmap-ingested profile differs from the streamed one"
+        reference.profile() == from_file.profile(),
+        "file-ingested profile differs from the materialized one"
     );
 
     // ...and identical miss counts through the shared-stream sweep.
     let layouts = vec![
         Layout::source_order(program),
-        via_mmap.place(&PettisHansen::new()),
-        via_mmap.place(&Gbsc::new()),
+        reference.place(&PettisHansen::new()),
+        reference.place(&Gbsc::new()),
     ];
-    let from_mmap = via_mmap
-        .evaluate_layouts_streamed(&layouts, MmapSource::open(&path).unwrap())
+    let materialized: Vec<SimStats> = layouts
+        .iter()
+        .map(|l| reference.evaluate(l, &train))
+        .collect();
+    let streamed = reference
+        .evaluate_layouts_streamed(&layouts, open_v2_auto(&path, None).unwrap())
         .unwrap();
-    let from_stream = via_mmap
-        .evaluate_layouts_streamed(&layouts, V2Source::new(buf.as_slice()).unwrap())
-        .unwrap();
-    assert_eq!(from_mmap, from_stream, "miss counts drifted between paths");
-
-    // The auto-opener picks each path by budget and both agree.
-    let auto_mapped = open_v2_auto(&path, Some(u64::MAX)).unwrap();
-    assert!(auto_mapped.is_mapped());
-    let auto_streamed = open_v2_auto(&path, Some(0)).unwrap();
-    assert!(!auto_streamed.is_mapped());
-    let a = via_mmap
-        .evaluate_layouts_streamed(&layouts, auto_mapped)
-        .unwrap();
-    let b = via_mmap
-        .evaluate_layouts_streamed(&layouts, auto_streamed)
-        .unwrap();
-    assert_eq!(a, from_mmap);
-    assert_eq!(b, from_mmap);
+    assert_eq!(streamed, materialized, "miss counts drifted");
 }
 
 /// A fixed 9-procedure program for the v2 container properties.
@@ -309,9 +289,64 @@ proptest! {
         prop_assert_eq!(back.records(), expected.as_slice());
     }
 
-    /// The whole-buffer `MmapSource` agrees with the streaming `V2Source`
-    /// record-for-record and warning-for-warning on arbitrary containers,
-    /// including ones with a corrupted or truncated frame.
+    /// The reader is indifferent to how its input arrives: the same
+    /// container read from a slice and through a `Read` that returns
+    /// arbitrary short reads (and interrupts) gives the same records, the
+    /// same `try_next_block` boundaries, the same warnings and the same
+    /// strict error — including containers with a mangled frame header or
+    /// payload, or a truncated tail.
+    #[test]
+    fn v2_reader_is_indifferent_to_short_reads(
+        refs in arb_refs(),
+        frame_records in 1usize..50,
+        mangle in 0u8..3,
+        frame_pick in 0usize..10_000,
+        byte_pick in 0usize..1_000_000,
+        truncate_tail in any::<bool>(),
+        read_sizes in prop::collection::vec(0usize..40, 1..16),
+        max_block in 1usize..80,
+    ) {
+        let program = test_program();
+        let trace = to_trace(&program, &refs);
+        let mut bytes = v2_bytes(&trace, frame_records);
+        let frames = v2_frames(&bytes);
+        if !frames.is_empty() {
+            let (start, payload_len) = frames[frame_pick % frames.len()];
+            match mangle {
+                1 => bytes[start + byte_pick % 12] ^= 0xA5,
+                2 if payload_len > 0 => bytes[start + 12 + byte_pick % payload_len] ^= 0xA5,
+                _ => {}
+            }
+        }
+        if truncate_tail && bytes.len() > 9 {
+            bytes.truncate(bytes.len() - 1);
+        }
+        let short = || ShortReads { data: &bytes, sizes: read_sizes.clone(), turn: 0 };
+
+        let strict_slice = drain_blocks(V2Source::new(bytes.as_slice()).unwrap(), max_block);
+        let strict_short = drain_blocks(V2Source::new(short()).unwrap(), max_block);
+        prop_assert_eq!(&strict_slice, &strict_short);
+
+        let lossy_slice = drain_blocks(
+            V2Source::new_lossy(bytes.as_slice(), Some(&program)).unwrap(),
+            max_block,
+        );
+        let lossy_short =
+            drain_blocks(V2Source::new_lossy(short(), Some(&program)).unwrap(), max_block);
+        prop_assert_eq!(&lossy_slice, &lossy_short);
+        prop_assert!(lossy_slice.1.is_none(), "lossy reads never fail on format defects");
+        if mangle == 0 && !truncate_tail {
+            prop_assert!(strict_slice.1.is_none());
+            let flat: Vec<u32> = strict_slice.0.iter().flat_map(|(p, _)| p.clone()).collect();
+            let expected: Vec<u32> = trace.records().iter().map(|r| r.proc.index()).collect();
+            prop_assert_eq!(flat, expected);
+        }
+    }
+
+    /// A container held wholly in memory (a file read in full, or mapped)
+    /// agrees with the same file streamed from disk through `open_v2_auto`
+    /// and `open_v2_auto_lossy`: same blocks, warnings and strict error —
+    /// including files with a corrupted or truncated frame.
     #[test]
     fn mmap_agrees_with_streaming_under_corruption(
         refs in arb_refs(),
@@ -321,7 +356,7 @@ proptest! {
         byte_pick in 0usize..1_000_000,
         truncate_tail in any::<bool>(),
     ) {
-        use tempo::trace::{MmapSource, TraceSource};
+        use tempo::trace::{open_v2_auto, open_v2_auto_lossy};
 
         let program = test_program();
         let trace = to_trace(&program, &refs);
@@ -338,16 +373,61 @@ proptest! {
         if truncate_tail && bytes.len() > 9 {
             bytes.truncate(bytes.len() - 1);
         }
+        let dir = std::env::temp_dir().join("tempo_streaming_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("whole_buffer_vs_file.v2");
+        std::fs::write(&path, &bytes).unwrap();
+        let in_memory = std::fs::read(&path).unwrap();
 
-        let mut mapped = MmapSource::from_bytes_lossy(bytes.clone(), Some(&program));
-        let mut streamed = V2Source::new_lossy(bytes.as_slice(), Some(&program)).unwrap();
-        loop {
-            let (a, b) = (mapped.try_next().unwrap(), streamed.try_next().unwrap());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(mapped.warnings(), streamed.warnings());
+        let strict_memory = drain_blocks(V2Source::new(in_memory.as_slice()).unwrap(), 64);
+        let strict_file = drain_blocks(open_v2_auto(&path, None).unwrap(), 64);
+        prop_assert_eq!(&strict_memory, &strict_file);
+
+        let lossy_memory = drain_blocks(
+            V2Source::new_lossy(in_memory.as_slice(), Some(&program)).unwrap(),
+            64,
+        );
+        let lossy_file = drain_blocks(open_v2_auto_lossy(&path, Some(&program)).unwrap(), 64);
+        prop_assert_eq!(&lossy_memory, &lossy_file);
+        prop_assert!(lossy_file.1.is_none(), "lossy reads never fail on format defects");
     }
+}
+
+/// A `Read` that hands out its bytes in the chunk sizes of `sizes`
+/// (cycled), turning a size of zero into an `Interrupted` error.
+struct ShortReads<'a> {
+    data: &'a [u8],
+    sizes: Vec<usize>,
+    turn: usize,
+}
+
+impl std::io::Read for ShortReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.turn % self.sizes.len()];
+        self.turn += 1;
+        if size == 0 && !buf.is_empty() {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        let n = size.min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// Block columns as `try_next_block` cut them, the strict error (if any)
+/// that ended the stream, and the warnings tallied.
+type Drained = (Vec<(Vec<u32>, Vec<u32>)>, Option<String>, TraceWarnings);
+
+fn drain_blocks<R: std::io::Read>(mut source: V2Source<'_, R>, max: usize) -> Drained {
+    let mut blocks = Vec::new();
+    let mut block = RecordBlock::default();
+    let error = loop {
+        match source.try_next_block(&mut block, max) {
+            Ok(0) => break None,
+            Ok(_) => blocks.push((block.procs.clone(), block.bytes.clone())),
+            Err(e) => break Some(e.to_string()),
+        }
+    };
+    (blocks, error, source.warnings())
 }
