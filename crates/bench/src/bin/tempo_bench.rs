@@ -8,7 +8,8 @@
 //!   completed, 1 when any failed, 2 on usage/filesystem errors.
 //! * `list` — print the experiment registry.
 //! * `check-regression` — compare a `BENCH_run.json` against a checked-in
-//!   baseline: simulated miss counts must match exactly, total wall time
+//!   baseline: simulated miss counts and the Q-pass profile counters
+//!   (evictions, graph edge counts) must match exactly, total wall time
 //!   must stay within the slack, and per-experiment streaming throughput
 //!   must stay above the ratchet floor. Exit 0 pass, 1 fail, 2 on errors.
 

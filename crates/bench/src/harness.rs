@@ -877,7 +877,8 @@ impl RegressionReport {
     }
 }
 
-/// Compares `current` against `baseline`: simulated miss counts must not
+/// Compares `current` against `baseline`: simulated miss counts and the
+/// Q-pass profile counters (Q-set evictions, graph edge counts) must not
 /// drift at all, total wall time must not regress more than
 /// `wall_slack_pct` percent, and every experiment that records a
 /// `records_per_sec` metric in the baseline must retain at least
@@ -929,6 +930,7 @@ pub fn check_regression(
                         cur.name, base.misses, cur.misses
                     ));
                 } else if base.ok {
+                    check_profile_counters(cur, base, &mut failures);
                     check_throughput_floor(
                         cur,
                         base,
@@ -970,6 +972,48 @@ pub fn check_regression(
     RegressionReport { failures, notes }
 }
 
+/// Profile counters gated exactly, per experiment: the Q-pass's §3
+/// evictions and the edge counts of the three graphs it builds. They are
+/// integer functions of the seeded traces, so a Q-pass change that drifts
+/// one fails the gate by name even when no miss count moves. Every
+/// experiment's counters are identical across repeated runs and across
+/// `--jobs 1`/`--jobs 2`, so none is exempt. Baselines that predate a
+/// counter are not gated on it.
+const EXACT_PROFILE_COUNTERS: [&str; 5] = [
+    "profile.qset_proc_evictions",
+    "profile.qset_chunk_evictions",
+    "profile.wcg_edges",
+    "profile.trg_select_edges",
+    "profile.trg_place_edges",
+];
+
+fn metric(e: &ExperimentRecord, name: &str) -> Option<f64> {
+    e.metrics.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+}
+
+fn check_profile_counters(
+    cur: &ExperimentRecord,
+    base: &ExperimentRecord,
+    failures: &mut Vec<String>,
+) {
+    for counter in EXACT_PROFILE_COUNTERS {
+        let Some(want) = metric(base, counter) else {
+            continue;
+        };
+        match metric(cur, counter) {
+            Some(got) if got == want => {}
+            Some(got) => failures.push(format!(
+                "`{}` profile counter `{counter}` drifted: {want} -> {got}",
+                cur.name
+            )),
+            None => failures.push(format!(
+                "`{}` stopped recording profile counter `{counter}` (baseline has {want})",
+                cur.name
+            )),
+        }
+    }
+}
+
 /// Metric name gated by the throughput floor. Per-jobs variants
 /// (`jobsN.records_per_sec`) are deliberately excluded: they measure
 /// scaling shape, which depends on the runner's core count.
@@ -982,17 +1026,11 @@ fn check_throughput_floor(
     failures: &mut Vec<String>,
     notes: &mut Vec<String>,
 ) {
-    let metric_of = |e: &ExperimentRecord| {
-        e.metrics
-            .iter()
-            .find(|(name, _)| name == THROUGHPUT_METRIC)
-            .map(|&(_, v)| v)
-    };
-    let Some(base_rps) = metric_of(base).filter(|v| *v > 0.0) else {
+    let Some(base_rps) = metric(base, THROUGHPUT_METRIC).filter(|v| *v > 0.0) else {
         return;
     };
     let floor = base_rps * floor_pct / 100.0;
-    match metric_of(cur) {
+    match metric(cur, THROUGHPUT_METRIC) {
         None => failures.push(format!(
             "`{}` stopped recording {THROUGHPUT_METRIC} (baseline has {base_rps:.0}/s)",
             cur.name
@@ -1072,6 +1110,52 @@ mod tests {
     fn experiments_without_a_baseline_throughput_are_exempt() {
         let base = report(vec![record("fig1", 42, None)]);
         let cur = report(vec![record("fig1", 42, Some(5.0))]);
+        assert!(check_regression(&cur, &base, 25.0, 70.0).ok());
+    }
+
+    fn with_counter(mut e: ExperimentRecord, name: &str, value: f64) -> ExperimentRecord {
+        e.metrics.push((name.to_string(), value));
+        e
+    }
+
+    #[test]
+    fn profile_counter_drift_fails_and_names_the_counter() {
+        let base = report(vec![with_counter(
+            record("table1", 42, None),
+            "profile.trg_place_edges",
+            117_909.0,
+        )]);
+        let same = report(vec![with_counter(
+            record("table1", 42, None),
+            "profile.trg_place_edges",
+            117_909.0,
+        )]);
+        assert!(check_regression(&same, &base, 25.0, 70.0).ok());
+
+        let drifted = report(vec![with_counter(
+            record("table1", 42, None),
+            "profile.trg_place_edges",
+            117_910.0,
+        )]);
+        let verdict = check_regression(&drifted, &base, 25.0, 70.0);
+        assert_eq!(verdict.failures.len(), 1, "notes: {:?}", verdict.notes);
+        assert!(verdict.failures[0].contains("`profile.trg_place_edges` drifted"));
+        assert!(verdict.failures[0].contains("`table1`"));
+
+        let dropped = report(vec![record("table1", 42, None)]);
+        let verdict = check_regression(&dropped, &base, 25.0, 70.0);
+        assert_eq!(verdict.failures.len(), 1);
+        assert!(verdict.failures[0].contains("stopped recording profile counter"));
+    }
+
+    #[test]
+    fn profile_counters_absent_from_the_baseline_are_not_gated() {
+        let base = report(vec![record("table1", 42, None)]);
+        let cur = report(vec![with_counter(
+            record("table1", 42, None),
+            "profile.qset_proc_evictions",
+            7_781.0,
+        )]);
         assert!(check_regression(&cur, &base, 25.0, 70.0).ok());
     }
 

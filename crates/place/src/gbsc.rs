@@ -21,7 +21,7 @@
 //! `D(p, {r, s})` over triples that would share a set.
 
 use rand::Rng;
-use tempo_program::{ChunkId, Layout, ProcId, Program};
+use tempo_program::{Layout, ProcId, Program};
 use tempo_trg::{ProfileData, WeightedGraph};
 
 use crate::budget::{BudgetExhausted, BudgetMeter};
@@ -132,8 +132,9 @@ struct Merger<'a> {
     members: std::collections::HashMap<u32, Vec<ProcId>>,
     /// Current cache-line offset of each procedure within its node's frame.
     offsets: Vec<u32>,
-    /// Chunk geometry: line offset within the owning procedure and length
+    /// Chunk geometry: owning procedure, line offset within it and length
     /// in lines, indexed by global chunk id.
+    chunk_owner: Vec<ProcId>,
     chunk_rel_line: Vec<u32>,
     chunk_nlines: Vec<u32>,
 }
@@ -149,9 +150,11 @@ impl<'a> Merger<'a> {
             "chunk size must be at least one cache line"
         );
         let nchunks = program.chunk_count() as usize;
+        let mut chunk_owner = Vec::with_capacity(nchunks);
         let mut chunk_rel_line = vec![0u32; nchunks];
         let mut chunk_nlines = vec![0u32; nchunks];
         for info in tempo_program::Chunks::new(program) {
+            chunk_owner.push(info.owner);
             chunk_rel_line[info.id.as_usize()] = info.ordinal * lines_per_chunk;
             chunk_nlines[info.id.as_usize()] = info.len.div_ceil(line_size);
         }
@@ -168,17 +171,23 @@ impl<'a> Merger<'a> {
             node_of_proc,
             members,
             offsets: vec![0u32; program.len()],
+            chunk_owner,
             chunk_rel_line,
             chunk_nlines,
         }
+    }
+
+    /// The node a chunk's owning procedure currently belongs to.
+    #[inline]
+    fn node_of_chunk(&self, chunk: u32) -> u32 {
+        self.node_of_proc[self.chunk_owner[chunk as usize].as_usize()]
     }
 
     /// Absolute cache lines (mod line count) occupied by a chunk, given the
     /// current offset of its owner.
     fn chunk_lines(&self, chunk: u32) -> impl Iterator<Item = u32> + '_ {
         let c = chunk as usize;
-        let (owner, _) = self.program.chunk_owner(ChunkId::new(chunk));
-        let start = self.offsets[owner.as_usize()] + self.chunk_rel_line[c];
+        let start = self.offsets[self.chunk_owner[c].as_usize()] + self.chunk_rel_line[c];
         let lines = self.lines;
         (0..self.chunk_nlines[c].min(lines)).map(move |k| (start + k) % lines)
     }
@@ -322,8 +331,7 @@ impl Gbsc {
                 for &p in &m.members[&iter_node] {
                     for chunk in m.program.chunks_of(p) {
                         for nbr in trg_place.neighbors(chunk) {
-                            let (owner, _) = m.program.chunk_owner(ChunkId::new(nbr));
-                            if m.node_of_proc[owner.as_usize()] != other {
+                            if m.node_of_chunk(nbr) != other {
                                 continue;
                             }
                             let w = trg_place.weight(chunk, nbr);
@@ -424,7 +432,8 @@ impl GbscSetAssoc {
         let merger = Merger::new(ctx.program, ctx.profile);
         let sets = ctx.cache().sets();
         let lines = ctx.cache().lines() as usize;
-        // Pre-collect the associations once; each merge filters by node.
+        // Pre-collect the associations once; each merge filters by node,
+        // through the merger's chunk -> owner table.
         let assocs: Vec<(u32, u32, u32, f64)> =
             db.iter().map(|(k, w)| (k.p, k.r, k.s, w)).collect();
         merger.run(
@@ -433,14 +442,10 @@ impl GbscSetAssoc {
             budget,
             |m, u, v| {
                 let mut acc = vec![0.0f64; lines];
-                let node_of_chunk = |chunk: u32| {
-                    let (owner, _) = m.program.chunk_owner(ChunkId::new(chunk));
-                    m.node_of_proc[owner.as_usize()]
-                };
                 for &(p, r, s, w) in &assocs {
-                    let np = node_of_chunk(p);
-                    let nr = node_of_chunk(r);
-                    let ns = node_of_chunk(s);
+                    let np = m.node_of_chunk(p);
+                    let nr = m.node_of_chunk(r);
+                    let ns = m.node_of_chunk(s);
                     let in_uv = |n: u32| n == u || n == v;
                     if !(in_uv(np) && in_uv(nr) && in_uv(ns)) {
                         continue; // a participant is elsewhere: alignment here is moot

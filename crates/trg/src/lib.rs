@@ -53,6 +53,7 @@
 // warns on `unwrap_used`; here it is a hard error.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+mod fasthash;
 mod graph;
 pub mod io;
 mod pairdb;

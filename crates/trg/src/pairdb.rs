@@ -6,9 +6,10 @@
 //! with a database recording, for each block `p`, how often each *pair*
 //! `{r, s}` of blocks appeared between consecutive references to `p`.
 
-use std::collections::hash_map;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
+
+use crate::fasthash::IdMap;
 
 /// Key of one association: the focal block and an unordered pair of
 /// intervening blocks.
@@ -37,25 +38,46 @@ impl PairKey {
     }
 }
 
+/// One focal block's associations: the packed pair `(r << 32) | s`, with
+/// `r < s`, mapped to its count.
+pub(crate) type PairRow = IdMap<u64, f64>;
+
+/// Packs an unordered pair of distinct blocks into a row key.
+#[inline]
+pub(crate) fn pack_pair(r: u32, s: u32) -> u64 {
+    let (r, s) = if r < s { (r, s) } else { (s, r) };
+    (u64::from(r) << 32) | u64::from(s)
+}
+
+#[allow(clippy::cast_possible_truncation)] // the halves of a packed pair
+fn unpack(p: u32, pair: u64) -> PairKey {
+    PairKey {
+        p,
+        r: (pair >> 32) as u32,
+        s: pair as u32,
+    }
+}
+
 /// The association database `D(p, {r, s})`.
 ///
 /// Built by the [`Profiler`](crate::Profiler) when
 /// [`with_pair_db`](crate::Profiler::with_pair_db) is enabled; consumed by
 /// the set-associative GBSC cost metric.
+///
+/// Stored as one row per focal block, so the profiler's per-event update
+/// touches only the focal block's own small table. No row is ever empty.
 #[derive(Clone, Default)]
 pub struct PairDb {
-    counts: HashMap<PairKey, f64>,
-    /// For each focal block, the keys it participates in (indices are
-    /// rebuilt lazily on first query after mutation).
-    by_focal: HashMap<u32, Vec<PairKey>>,
-    index_dirty: bool,
+    rows: IdMap<u32, PairRow>,
 }
 
-/// Equality compares the association counts only; the query index is a
-/// lazily rebuilt cache and carries no information of its own.
+/// Equality compares the association counts.
 impl PartialEq for PairDb {
     fn eq(&self, other: &Self) -> bool {
-        self.counts == other.counts
+        self.len() == other.len()
+            && self
+                .iter()
+                .all(|(k, w)| other.lookup(k.p, pack_pair(k.r, k.s)) == Some(w))
     }
 }
 
@@ -71,8 +93,21 @@ impl PairDb {
     ///
     /// Panics if `r == s` or `p ∈ {r, s}`.
     pub fn add(&mut self, p: u32, r: u32, s: u32, w: f64) {
-        *self.counts.entry(PairKey::new(p, r, s)).or_insert(0.0) += w;
-        self.index_dirty = true;
+        let key = PairKey::new(p, r, s);
+        *self
+            .focal_row(p)
+            .entry(pack_pair(key.r, key.s))
+            .or_insert(0.0) += w;
+    }
+
+    /// The row of focal block `p`, created empty if absent. The caller
+    /// must leave it non-empty.
+    pub(crate) fn focal_row(&mut self, p: u32) -> &mut PairRow {
+        self.rows.entry(p).or_default()
+    }
+
+    fn lookup(&self, p: u32, pair: u64) -> Option<f64> {
+        self.rows.get(&p)?.get(&pair).copied()
     }
 
     /// The recorded frequency of `(p, {r, s})`, or 0.
@@ -80,56 +115,52 @@ impl PairDb {
         if r == s || p == r || p == s {
             return 0.0;
         }
-        self.counts
-            .get(&PairKey::new(p, r, s))
-            .copied()
-            .unwrap_or(0.0)
+        self.lookup(p, pack_pair(r, s)).unwrap_or(0.0)
     }
 
     /// Number of distinct associations recorded.
     pub fn len(&self) -> usize {
-        self.counts.len()
+        self.rows.values().map(IdMap::len).sum()
     }
 
     /// Returns `true` if no associations are recorded.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.rows.is_empty()
     }
 
-    /// Iterates over all `(key, weight)` associations in unspecified order.
+    /// Iterates over all `(key, weight)` associations, row by row.
+    ///
+    /// The order is deterministic — the hasher is fixed, so it depends only
+    /// on the sequence of updates that built the database — but it is not
+    /// sorted; sort the keys where order matters.
     pub fn iter(&self) -> impl Iterator<Item = (PairKey, f64)> + '_ {
-        self.counts.iter().map(|(&k, &w)| (k, w))
+        self.rows
+            .iter()
+            .flat_map(|(&p, row)| row.iter().map(move |(&pair, &w)| (unpack(p, pair), w)))
     }
 
     /// All associations whose focal block is `p`, in sorted key order.
-    ///
-    /// Rebuilds the focal index if the database changed since the last
-    /// query; amortized cost is one pass over the database.
-    pub fn by_focal(&mut self, p: u32) -> &[PairKey] {
-        if self.index_dirty {
-            self.by_focal.clear();
-            for key in self.counts.keys() {
-                self.by_focal.entry(key.p).or_default().push(*key);
-            }
-            for keys in self.by_focal.values_mut() {
-                keys.sort();
-            }
-            self.index_dirty = false;
-        }
-        match self.by_focal.entry(p) {
-            hash_map::Entry::Occupied(e) => e.into_mut().as_slice(),
-            hash_map::Entry::Vacant(_) => &[],
-        }
+    pub fn by_focal(&self, p: u32) -> Vec<PairKey> {
+        let mut keys: Vec<PairKey> = self
+            .rows
+            .get(&p)
+            .into_iter()
+            .flat_map(|row| row.keys().map(|&pair| unpack(p, pair)))
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Adds every association of `other` into this database, summing
     /// weights — the shard-merge operation. Counts are integer event
     /// tallies, so merging is exact, commutative, and associative.
     pub fn merge_from(&mut self, other: &PairDb) {
-        for (k, w) in other.iter() {
-            *self.counts.entry(k).or_insert(0.0) += w;
+        for (&p, theirs) in &other.rows {
+            let row = self.focal_row(p);
+            for (&pair, &w) in theirs {
+                *row.entry(pair).or_insert(0.0) += w;
+            }
         }
-        self.index_dirty = true;
     }
 
     /// Multiplies every association count by `factor` in place — the aging
@@ -144,11 +175,13 @@ impl PairDb {
             factor.is_finite() && factor > 0.0,
             "scale factor must be finite and positive"
         );
-        self.counts.retain(|_, w| {
-            *w *= factor;
-            *w != 0.0
+        self.rows.retain(|_, row| {
+            row.retain(|_, w| {
+                *w *= factor;
+                *w != 0.0
+            });
+            !row.is_empty()
         });
-        self.index_dirty = true;
     }
 
     /// Subtracts every association of `other`, removing entries that reach
@@ -157,20 +190,28 @@ impl PairDb {
     /// sliding window. Counts are integer event tallies, so retiring a
     /// previously merged database restores the pre-merge contents exactly.
     pub fn subtract_from(&mut self, other: &PairDb) {
-        for (k, w) in other.iter() {
-            if let hash_map::Entry::Occupied(mut e) = self.counts.entry(k) {
-                *e.get_mut() -= w;
-                if *e.get() <= 0.0 {
-                    e.remove();
+        for (&p, theirs) in &other.rows {
+            let Entry::Occupied(mut mine) = self.rows.entry(p) else {
+                continue;
+            };
+            let row = mine.get_mut();
+            for (pair, &w) in theirs {
+                if let Entry::Occupied(mut e) = row.entry(*pair) {
+                    *e.get_mut() -= w;
+                    if *e.get() <= 0.0 {
+                        e.remove();
+                    }
                 }
             }
+            if row.is_empty() {
+                mine.remove();
+            }
         }
-        self.index_dirty = true;
     }
 
     /// Total weight across all associations.
     pub fn total_weight(&self) -> f64 {
-        self.counts.values().sum()
+        self.rows.values().flat_map(|row| row.values()).sum()
     }
 }
 
@@ -179,7 +220,7 @@ impl fmt::Debug for PairDb {
         write!(
             f,
             "PairDb({} associations, total weight {})",
-            self.counts.len(),
+            self.len(),
             self.total_weight()
         )
     }
@@ -231,12 +272,11 @@ mod tests {
         db.add(7, 3, 9, 1.0);
         db.add(7, 1, 2, 1.0);
         db.add(8, 1, 2, 1.0);
-        let keys = db.by_focal(7).to_vec();
+        let keys = db.by_focal(7);
         assert_eq!(keys.len(), 2);
         assert_eq!(keys[0], PairKey::new(7, 1, 2));
         assert_eq!(keys[1], PairKey::new(7, 3, 9));
         assert!(db.by_focal(99).is_empty());
-        // Index refreshes after mutation.
         db.add(7, 5, 6, 1.0);
         assert_eq!(db.by_focal(7).len(), 3);
     }
@@ -252,7 +292,6 @@ mod tests {
         assert_eq!(a.get(0, 1, 2), 3.0);
         assert_eq!(a.get(3, 4, 5), 4.0);
         assert_eq!(a.len(), 2);
-        // The focal index refreshes after a merge.
         assert_eq!(a.by_focal(3).len(), 1);
     }
 
@@ -271,9 +310,44 @@ mod tests {
         db.subtract_from(&epoch);
         assert_eq!(db.get(3, 4, 5), 0.0);
         assert_eq!(db.len(), 1, "zeroed association is removed");
-        // The focal index refreshes after retirement.
+        // An emptied row disappears with its last association.
         assert!(db.by_focal(3).is_empty());
         assert_eq!(db.by_focal(0).len(), 1);
+    }
+
+    #[test]
+    fn equality_compares_contents_not_history() {
+        let mut a = PairDb::new();
+        a.add(0, 1, 2, 1.0);
+        a.add(3, 4, 5, 2.0);
+        let mut b = PairDb::new();
+        b.add(3, 5, 4, 2.0);
+        b.add(9, 1, 2, 1.0);
+        b.add(0, 2, 1, 1.0);
+        assert_ne!(a, b);
+        let mut nine = PairDb::new();
+        nine.add(9, 1, 2, 1.0);
+        b.subtract_from(&nine); // leaves no empty row behind
+        assert_eq!(a, b);
+        assert!(!b.is_empty());
+        b.subtract_from(&a);
+        assert!(b.is_empty());
+        assert_eq!(b, PairDb::new());
+    }
+
+    #[test]
+    fn iter_order_is_deterministic() {
+        let build = || {
+            let mut db = PairDb::new();
+            for p in 0..50 {
+                db.add(p, p + 1, p + 2, 1.0);
+                db.add(p, p + 3, p + 1, 2.0);
+            }
+            db
+        };
+        let a: Vec<_> = build().iter().collect();
+        let b: Vec<_> = build().iter().collect();
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,81 +1,128 @@
 //! One-pass profile construction: WCG, `TRG_select`, `TRG_place`, and the
 //! optional §6 pair database, all from a single walk over the trace.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use tempo_cache::CacheConfig;
-use tempo_program::{ChunkId, Program};
+use tempo_program::{ProcId, Program};
 use tempo_trace::io::TraceIoError;
 use tempo_trace::{MemorySource, Trace, TraceRecord, TraceSink, TraceSource};
 
+use crate::fasthash::IdMap;
+use crate::pairdb::pack_pair;
 use crate::{PairDb, PopularSet, PopularitySelector, QSet, WeightedGraph};
 
-/// Splitmix64-style finalizer hashing the packed `u64` edge keys of
-/// [`EdgeAcc`]. The keys are already unique integers, so a multiplicative
-/// mix beats the default SipHash by a wide margin on the per-record hot
-/// path without sacrificing distribution quality.
-#[derive(Debug, Default, Clone)]
-struct EdgeKeyHasher(u64);
-
-impl Hasher for EdgeKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 keys (unused on the hot path): FNV-1a.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let mut z = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z ^= z >> 30;
-        z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z ^= z >> 27;
-        self.0 = z;
-    }
-}
-
-/// Integer edge-count accumulator standing between the per-record hot path
-/// and a [`WeightedGraph`].
+/// Exact integer edge tallies standing between the per-record hot path and
+/// a [`WeightedGraph`], kept as one small row per focal block.
 ///
 /// `WeightedGraph::add_weight` costs a `BTreeMap` update plus two
 /// `BTreeSet` adjacency inserts; paying that per trace event dominates
-/// profiling wall time. Events are instead tallied here as exact integer
-/// counts in a flat hash map and flushed into the graph once per profile.
-/// The result is bit-identical: each edge receives one `add_weight` of `n`
-/// instead of `n` adds of `1.0`, and integer counts below 2^53 sum exactly
-/// in `f64` in any order.
+/// profiling wall time. Each event instead bumps `rows[a][b]` — a directed
+/// count in the focal block `a`'s own table — and
+/// [`into_graph`](EdgeAcc::into_graph) symmetrizes once per profile:
+/// `w{a, b} = rows[a][b] + rows[b][a]`, added to the graph once per edge.
+/// The result is bit-identical to per-event `add_weight(a, b, 1.0)` calls:
+/// integer counts below 2^53 convert to `f64` exactly.
 #[derive(Debug, Default, Clone)]
 struct EdgeAcc {
-    counts: HashMap<u64, u64, BuildHasherDefault<EdgeKeyHasher>>,
+    /// `rows[a][b]`: events on `{a, b}` seen from focal block `a`, modulo
+    /// 2^32.
+    rows: Vec<IdMap<u32, u32>>,
+    /// The multiples of 2^32 a directed count `(a << 32) | b` wrapped
+    /// through, so no count is ever lost. Empty unless one pair passes four
+    /// billion events.
+    carry: IdMap<u64, u64>,
+}
+
+/// One focal block's row of an [`EdgeAcc`], borrowed for a batch of bumps.
+struct FocalRow<'a> {
+    a: u32,
+    counts: &'a mut IdMap<u32, u32>,
+    carry: &'a mut IdMap<u64, u64>,
+}
+
+impl FocalRow<'_> {
+    /// Tallies one event on the edge `{a, b}`.
+    #[inline]
+    fn bump(&mut self, b: u32) {
+        let n = self.counts.entry(b).or_insert(0);
+        match n.checked_add(1) {
+            Some(next) => *n = next,
+            None => {
+                *n = 0;
+                *self.carry.entry(directed(self.a, b)).or_insert(0) += 1 << 32;
+            }
+        }
+    }
+}
+
+/// The carry key of the directed count `rows[a][b]`.
+#[inline]
+fn directed(a: u32, b: u32) -> u64 {
+    (u64::from(a) << 32) | u64::from(b)
 }
 
 impl EdgeAcc {
-    /// Tallies one event on the undirected edge `{a, b}`.
+    /// The row of focal block `a`, grown on first use.
     #[inline]
-    fn add(&mut self, a: u32, b: u32) {
-        let key = if a <= b {
-            (u64::from(a) << 32) | u64::from(b)
-        } else {
-            (u64::from(b) << 32) | u64::from(a)
-        };
-        *self.counts.entry(key).or_insert(0) += 1;
+    fn row(&mut self, a: u32) -> FocalRow<'_> {
+        let i = a as usize;
+        if i >= self.rows.len() {
+            self.rows.resize_with(i + 1, IdMap::default);
+        }
+        FocalRow {
+            a,
+            counts: &mut self.rows[i],
+            carry: &mut self.carry,
+        }
     }
 
-    /// Adds every tallied count into `graph` and clears the accumulator.
-    #[allow(clippy::cast_possible_truncation)] // low half of the packed key
-    #[allow(clippy::cast_precision_loss)] // counts are far below 2^53
-    fn flush_into(&mut self, graph: &mut WeightedGraph) {
-        for (&key, &n) in &self.counts {
-            graph.add_weight((key >> 32) as u32, key as u32, n as f64);
-        }
-        self.counts.clear();
+    /// The exact directed count `rows[a][b]`, if the row has the entry.
+    fn count(&self, a: u32, b: u32) -> Option<u64> {
+        let n = u64::from(*self.rows.get(a as usize)?.get(&b)?);
+        let wrapped = if self.carry.is_empty() {
+            0
+        } else {
+            self.carry.get(&directed(a, b)).copied().unwrap_or(0)
+        };
+        Some(n + wrapped)
     }
+
+    /// Symmetrizes the rows into a graph, adding each edge exactly once:
+    /// from the smaller endpoint's row, or from the larger's when the
+    /// smaller endpoint's row lacks it.
+    #[allow(clippy::cast_possible_truncation)] // row indices are u32 ids
+    #[allow(clippy::cast_precision_loss)] // counts are far below 2^53
+    fn into_graph(self) -> WeightedGraph {
+        let mut graph = WeightedGraph::new();
+        for (a, row) in self.rows.iter().enumerate() {
+            let a = a as u32;
+            for &b in row.keys() {
+                let ab = self.count(a, b).unwrap_or(0);
+                let w = if a < b {
+                    ab + self.count(b, a).unwrap_or(0)
+                } else if self.count(b, a).is_none() {
+                    ab
+                } else {
+                    continue; // added from row `b`
+                };
+                graph.add_weight(a, b, w as f64);
+            }
+        }
+        graph
+    }
+}
+
+/// The chunks a record executing `bytes` bytes (`1..=size`) of `proc`
+/// references, in order, each with its length: `bytes` covers chunks
+/// `0 ..= (bytes-1)/chunk_size`, and chunk `k` holds
+/// `min(chunk_size, size - k·chunk_size)` bytes.
+fn chunk_refs(program: &Program, proc: ProcId, bytes: u32) -> impl Iterator<Item = (u32, u32)> {
+    let first = program.chunks_of(proc).start;
+    let chunk_size = program.chunk_size();
+    let size = program.size_of(proc);
+    let executed = (bytes - 1) / chunk_size + 1;
+    (0..executed).map(move |k| (first + k, (size - k * chunk_size).min(chunk_size)))
 }
 
 /// Occupancy statistics of the procedure-grain Q-set, reported in Table 1
@@ -558,9 +605,6 @@ impl<'p> Profiler<'p> {
             popular,
             q_proc: QSet::new(bound),
             q_chunk: QSet::new(bound),
-            wcg: WeightedGraph::new(),
-            trg_select: WeightedGraph::new(),
-            trg_place: WeightedGraph::new(),
             wcg_acc: EdgeAcc::default(),
             select_acc: EdgeAcc::default(),
             place_acc: EdgeAcc::default(),
@@ -586,15 +630,12 @@ pub struct ProfileStream<'p> {
     popular: PopularSet,
     q_proc: QSet,
     q_chunk: QSet,
-    wcg: WeightedGraph,
-    trg_select: WeightedGraph,
-    trg_place: WeightedGraph,
-    /// Hot-path edge tallies, flushed into the graphs by
-    /// [`finish`](ProfileStream::finish) (see [`EdgeAcc`]).
+    /// Edge tallies of the WCG, `TRG_select` and `TRG_place`, turned into
+    /// graphs by [`finish`](ProfileStream::finish) (see [`EdgeAcc`]).
     wcg_acc: EdgeAcc,
     select_acc: EdgeAcc,
     place_acc: EdgeAcc,
-    /// Reused interleaved-set buffer for [`QSet::process_into`].
+    /// Reused interleaved-set buffer for the pair database's pair loop.
     scratch: Vec<u32>,
     pair_db: Option<PairDb>,
     prev: Option<tempo_program::ProcId>,
@@ -627,7 +668,7 @@ impl ProfileStream<'_> {
         // WCG: every adjacent transition between distinct procedures.
         if let Some(p) = self.prev {
             if p != record.proc {
-                self.wcg_acc.add(p.index(), record.proc.index());
+                self.wcg_acc.row(record.proc.index()).bump(p.index());
             }
         }
         self.prev = Some(record.proc);
@@ -637,33 +678,33 @@ impl ProfileStream<'_> {
         }
 
         // Procedure-grain Q drives TRG_select.
+        let id = record.proc.index();
         let size = self.program.size_of(record.proc);
-        self.q_proc
-            .process_into(record.proc.index(), size, &mut self.scratch);
-        for &other in &self.scratch {
-            self.select_acc.add(record.proc.index(), other);
-        }
+        let mut row = self.select_acc.row(id);
+        self.q_proc.process_with(id, size, |other| row.bump(other));
 
         // Chunk-grain Q drives TRG_place (and the pair database).
-        // A record executing `bytes` bytes references its chunks
-        // 0 ..= (bytes-1)/chunk_size in order.
         if record.bytes > size {
             self.warnings.clamped_extent += 1;
         }
-        let bytes = record.bytes.min(size);
-        let first_chunk = self.program.chunks_of(record.proc).start;
-        let executed = (bytes - 1) / self.program.chunk_size() + 1;
-        for k in 0..executed {
-            let chunk = first_chunk + k;
-            let clen = self.program.chunk_len(ChunkId::new(chunk));
-            self.q_chunk.process_into(chunk, clen, &mut self.scratch);
-            for &other in &self.scratch {
-                self.place_acc.add(chunk, other);
-            }
-            if let Some(db) = self.pair_db.as_mut() {
-                for i in 0..self.scratch.len() {
-                    for j in (i + 1)..self.scratch.len() {
-                        db.add(chunk, self.scratch[i], self.scratch[j], 1.0);
+        for (chunk, len) in chunk_refs(self.program, record.proc, record.bytes.min(size)) {
+            let mut row = self.place_acc.row(chunk);
+            let Some(db) = self.pair_db.as_mut() else {
+                self.q_chunk
+                    .process_with(chunk, len, |other| row.bump(other));
+                continue;
+            };
+            let between = &mut self.scratch;
+            between.clear();
+            self.q_chunk.process_with(chunk, len, |other| {
+                row.bump(other);
+                between.push(other);
+            });
+            if between.len() >= 2 {
+                let pairs = db.focal_row(chunk);
+                for (i, &r) in between.iter().enumerate() {
+                    for &s in &between[i + 1..] {
+                        *pairs.entry(pack_pair(r, s)).or_insert(0.0) += 1.0;
                     }
                 }
             }
@@ -698,15 +739,9 @@ impl ProfileStream<'_> {
             return;
         }
         let size = self.program.size_of(record.proc);
-        self.q_proc
-            .process_into(record.proc.index(), size, &mut self.scratch);
-        let bytes = record.bytes.min(size);
-        let first_chunk = self.program.chunks_of(record.proc).start;
-        let executed = (bytes - 1) / self.program.chunk_size() + 1;
-        for k in 0..executed {
-            let chunk = first_chunk + k;
-            let clen = self.program.chunk_len(ChunkId::new(chunk));
-            self.q_chunk.process_into(chunk, clen, &mut self.scratch);
+        self.q_proc.process_with(record.proc.index(), size, |_| {});
+        for (chunk, len) in chunk_refs(self.program, record.proc, record.bytes.min(size)) {
+            self.q_chunk.process_with(chunk, len, |_| {});
         }
     }
 
@@ -756,22 +791,21 @@ impl ProfileStream<'_> {
     /// `profile.records` (accepted records), `profile.qset_proc_evictions`
     /// / `profile.qset_chunk_evictions` (the §3 residency bound at work),
     /// the edge counts of the three graphs, and dropped/clamped tallies.
-    pub fn finish(mut self) -> ProfileData {
-        // Flush the hot-path edge tallies into the deterministic graphs.
+    pub fn finish(self) -> ProfileData {
         // Insertion order cannot influence a BTree-backed graph's content,
-        // and the integer counts sum exactly, so the result is identical
+        // and the integer counts sum exactly, so the graphs are identical
         // to per-event `add_weight` calls.
-        self.wcg_acc.flush_into(&mut self.wcg);
-        self.select_acc.flush_into(&mut self.trg_select);
-        self.place_acc.flush_into(&mut self.trg_place);
+        let wcg = self.wcg_acc.into_graph();
+        let trg_select = self.select_acc.into_graph();
+        let trg_place = self.place_acc.into_graph();
         tempo_obs::counter("profile.records").add(self.records);
         tempo_obs::counter("profile.qset_proc_evictions")
             .add(self.q_proc.evictions() - self.evict_base_proc);
         tempo_obs::counter("profile.qset_chunk_evictions")
             .add(self.q_chunk.evictions() - self.evict_base_chunk);
-        tempo_obs::counter("profile.wcg_edges").add(self.wcg.edge_count() as u64);
-        tempo_obs::counter("profile.trg_select_edges").add(self.trg_select.edge_count() as u64);
-        tempo_obs::counter("profile.trg_place_edges").add(self.trg_place.edge_count() as u64);
+        tempo_obs::counter("profile.wcg_edges").add(wcg.edge_count() as u64);
+        tempo_obs::counter("profile.trg_select_edges").add(trg_select.edge_count() as u64);
+        tempo_obs::counter("profile.trg_place_edges").add(trg_place.edge_count() as u64);
         let dropped = self.warnings.unknown_proc + self.warnings.zero_extent;
         if dropped > 0 {
             tempo_obs::counter("profile.records_dropped").add(dropped);
@@ -782,9 +816,9 @@ impl ProfileStream<'_> {
         ProfileData {
             cache: self.cache,
             popular: self.popular,
-            wcg: self.wcg,
-            trg_select: self.trg_select,
-            trg_place: self.trg_place,
+            wcg,
+            trg_select,
+            trg_place,
             pair_db: self.pair_db,
             q_stats: QStats {
                 average: self.q_proc.average_occupancy(),
@@ -846,6 +880,35 @@ mod tests {
         Profiler::new(p, CacheConfig::direct_mapped_8k())
             .popularity(PopularitySelector::all())
             .profile(t)
+    }
+
+    #[test]
+    fn edge_rows_symmetrize_each_edge_once() {
+        let mut acc = EdgeAcc::default();
+        acc.row(1).bump(4); // {1, 4} seen from both ends
+        acc.row(1).bump(4);
+        acc.row(4).bump(1);
+        acc.row(7).bump(2); // {2, 7} seen only from the larger end
+        acc.row(0).bump(9); // {0, 9} seen only from the smaller end
+        let g = acc.into_graph();
+        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.weight(1, 4), 3.0);
+        assert_eq!(g.weight(2, 7), 1.0);
+        assert_eq!(g.weight(0, 9), 1.0);
+        assert_eq!(g.neighbors(1).collect::<Vec<_>>(), vec![4]);
+        assert_eq!(g.neighbors(9).collect::<Vec<_>>(), vec![0]);
+    }
+
+    #[test]
+    fn edge_counts_carry_past_u32() {
+        let mut acc = EdgeAcc::default();
+        acc.row(3).bump(5);
+        *acc.rows[3].get_mut(&5).unwrap() = u32::MAX;
+        acc.row(3).bump(5); // wraps to 0, carrying 2^32
+        acc.row(3).bump(5);
+        acc.row(5).bump(3);
+        let g = acc.into_graph();
+        assert_eq!(g.weight(3, 5), (1u64 << 32) as f64 + 2.0);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! the cache for capacity reasons anyway — the paper bounds this at **twice
 //! the cache size** and reports that the bound "works quite well".
 
-use std::collections::VecDeque;
 use std::fmt;
 
 /// The outcome of processing one code-block reference through the Q-set.
@@ -24,12 +23,27 @@ pub struct QSetEvent {
     pub interleaved: Vec<u32>,
 }
 
+/// Sentinel link: no neighbour in that direction.
+const NIL: u32 = u32::MAX;
+
+/// One id's entry in the recency list, stored densely by id.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    id: u32,
+struct Node {
+    /// The next more recently referenced live id, or [`NIL`].
+    newer: u32,
+    /// The next less recently referenced live id, or [`NIL`].
+    older: u32,
+    /// Size in bytes of the id's latest reference.
     size: u32,
-    seq: u64,
+    live: bool,
 }
+
+const ABSENT: Node = Node {
+    newer: NIL,
+    older: NIL,
+    size: 0,
+    live: false,
+};
 
 /// The ordered set of recently referenced code blocks.
 ///
@@ -38,6 +52,13 @@ struct Slot {
 /// recent reference to each id and evicts the oldest ids while the
 /// remaining total size stays at or above the capacity bound, mirroring the
 /// maintenance rule of §3 exactly.
+///
+/// `Q` is an intrusive doubly linked recency list threaded through one
+/// dense per-id array: a re-reference to `c` walks from the newest entry
+/// to `c` (those are exactly the interleaved blocks, most recent first),
+/// unlinks `c` and relinks it as the newest; eviction pops the oldest.
+/// Every step touches only live entries, and memory is one 16-byte node
+/// per id ever referenced, independent of trace length.
 ///
 /// # Example
 ///
@@ -53,18 +74,16 @@ struct Slot {
 #[derive(Clone)]
 pub struct QSet {
     bound: u64,
-    /// Live + stale slots, oldest first. Stale slots (superseded references)
-    /// are skipped lazily.
-    slots: VecDeque<Slot>,
-    /// id -> seq of its live slot, dense ([`NO_SEQ`] marks absent ids).
-    /// Ids are dense procedure/chunk indices, so a flat vector replaces a
-    /// hash map on the per-record hot path.
-    index: Vec<u64>,
-    /// Number of live entries (ids whose `index` slot is not [`NO_SEQ`]).
+    /// Recency-list node of every id seen so far, indexed by id.
+    nodes: Vec<Node>,
+    /// The most recently referenced live id, or [`NIL`].
+    newest: u32,
+    /// The least recently referenced live id, or [`NIL`].
+    oldest: u32,
+    /// Number of live entries.
     live: usize,
-    /// Total size of live slots.
+    /// Total size of live entries (each at its latest size).
     live_size: u64,
-    next_seq: u64,
     /// Capacity evictions performed by the §3 maintenance rule.
     evictions: u64,
     /// Occupancy accounting for average-Q-size reporting (Table 1).
@@ -73,9 +92,6 @@ pub struct QSet {
     occupancy_max: usize,
 }
 
-/// Sentinel marking an id with no live slot in the dense index.
-const NO_SEQ: u64 = u64::MAX;
-
 impl QSet {
     /// Creates a Q-set whose total live size is bounded (from below, per the
     /// eviction rule) by `bound` bytes. Use twice the target cache size, as
@@ -83,11 +99,11 @@ impl QSet {
     pub fn new(bound: u64) -> Self {
         QSet {
             bound,
-            slots: VecDeque::new(),
-            index: Vec::new(),
+            nodes: Vec::new(),
+            newest: NIL,
+            oldest: NIL,
             live: 0,
             live_size: 0,
-            next_seq: 0,
             evictions: 0,
             occupancy_sum: 0,
             occupancy_samples: 0,
@@ -115,23 +131,17 @@ impl QSet {
         self.live_size
     }
 
-    /// The live sequence number of `id`, or [`NO_SEQ`].
-    #[inline]
-    fn seq_of(&self, id: u32) -> u64 {
-        self.index.get(id as usize).copied().unwrap_or(NO_SEQ)
-    }
-
     /// Returns `true` if the block currently has a live entry.
     pub fn contains(&self, id: u32) -> bool {
-        self.seq_of(id) != NO_SEQ
+        self.nodes.get(id as usize).is_some_and(|n| n.live)
     }
 
     /// Live entries, oldest first.
     pub fn entries(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slots
-            .iter()
-            .filter(|s| self.seq_of(s.id) == s.seq)
-            .map(|s| s.id)
+        std::iter::successors((self.oldest != NIL).then_some(self.oldest), |&id| {
+            let newer = self.nodes[id as usize].newer;
+            (newer != NIL).then_some(newer)
+        })
     }
 
     /// Processes the next code-block reference from the trace: appends the
@@ -149,72 +159,62 @@ impl QSet {
         }
     }
 
-    /// Allocation-free [`process`](QSet::process): writes the interleaved
-    /// blocks into a caller-supplied buffer (cleared first) and returns
-    /// `had_previous`. The per-record hot path of the profiler reuses one
-    /// scratch buffer across the whole trace instead of allocating a
-    /// `Vec` per reference.
+    /// [`process`](QSet::process) into a caller-supplied buffer (cleared
+    /// first), returning `had_previous`.
     pub fn process_into(&mut self, id: u32, size: u32, interleaved: &mut Vec<u32>) -> bool {
         interleaved.clear();
+        self.process_with(id, size, |other| interleaved.push(other))
+    }
+
+    /// The hot entry point behind [`process`](QSet::process): calls
+    /// `on_interleaved` once per interleaved block, most recent first,
+    /// before any maintenance, and returns `had_previous`. The profiler
+    /// tallies TRG edges straight from the callback, so no per-reference
+    /// buffer exists at all.
+    ///
+    /// A re-reference may carry a new size; the live total follows each
+    /// id's latest size.
+    pub fn process_with(
+        &mut self,
+        id: u32,
+        size: u32,
+        mut on_interleaved: impl FnMut(u32),
+    ) -> bool {
         let idx = id as usize;
-        if idx >= self.index.len() {
-            self.index.resize(idx + 1, NO_SEQ);
+        if idx >= self.nodes.len() {
+            self.nodes.resize(idx + 1, ABSENT);
         }
-        let prev = self.index[idx];
-
-        // Analysis: collect live blocks newer than the previous reference.
-        if prev != NO_SEQ {
-            for slot in self.slots.iter().rev() {
-                if slot.seq <= prev {
-                    break;
-                }
-                if self.index[slot.id as usize] == slot.seq {
-                    interleaved.push(slot.id);
-                }
+        let had_previous = self.nodes[idx].live;
+        if had_previous {
+            // Analysis: every live block newer than the previous reference.
+            let mut cur = self.newest;
+            while cur != id {
+                on_interleaved(cur);
+                cur = self.nodes[cur as usize].older;
             }
-        }
-
-        // Supersede any previous reference (it becomes stale in `slots`).
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if prev == NO_SEQ {
+            self.live_size = self.live_size - u64::from(self.nodes[idx].size) + u64::from(size);
+            self.unlink(id);
+        } else {
             self.live += 1;
             self.live_size += u64::from(size);
         }
-        self.index[idx] = seq;
-        self.slots.push_back(Slot { id, size, seq });
+        self.nodes[idx].size = size;
+        self.nodes[idx].live = true;
+        self.push_newest(id);
 
-        // Maintenance: drop stale slots at the front for free; evict the
-        // oldest live id while the rest still meets the bound.
-        while let Some(front) = self.slots.front().copied() {
-            if self.index[front.id as usize] != front.seq {
-                self.slots.pop_front(); // stale
-                continue;
-            }
-            if front.seq == seq {
-                break; // never evict the reference just processed
-            }
-            if self.live_size - u64::from(front.size) >= self.bound {
-                self.slots.pop_front();
-                self.index[front.id as usize] = NO_SEQ;
-                self.live -= 1;
-                self.live_size -= u64::from(front.size);
-                self.evictions += 1;
-            } else {
+        // Maintenance: evict the oldest live id while the rest still meets
+        // the bound, never the reference just processed.
+        while self.oldest != id {
+            let victim = self.oldest;
+            let vsize = u64::from(self.nodes[victim as usize].size);
+            if self.live_size - vsize < self.bound {
                 break;
             }
-        }
-
-        // Compaction: the lazy front-pop above cannot reach stale slots
-        // sitting *behind* a live, non-evictable front (e.g. one old hot
-        // block followed by endless re-references to another), so the
-        // deque would otherwise grow without bound on adversarial
-        // patterns. Sweep out stale slots once they outnumber live ones;
-        // amortized O(1) per reference, and `slots` stays within
-        // `max(16, 2 × live entries)`.
-        if self.slots.len() > (self.live * 2).max(16) {
-            let index = &self.index;
-            self.slots.retain(|s| index[s.id as usize] == s.seq);
+            self.unlink(victim);
+            self.nodes[victim as usize].live = false;
+            self.live -= 1;
+            self.live_size -= vsize;
+            self.evictions += 1;
         }
 
         // Occupancy sample (after maintenance), for Table 1 reporting.
@@ -222,7 +222,34 @@ impl QSet {
         self.occupancy_samples += 1;
         self.occupancy_max = self.occupancy_max.max(self.live);
 
-        prev != NO_SEQ
+        had_previous
+    }
+
+    /// Detaches a live id from the recency list (its `live` flag and the
+    /// counters are the caller's business).
+    fn unlink(&mut self, id: u32) {
+        let Node { newer, older, .. } = self.nodes[id as usize];
+        match newer {
+            NIL => self.newest = older,
+            n => self.nodes[n as usize].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            o => self.nodes[o as usize].newer = newer,
+        }
+    }
+
+    /// Links a detached id in as the newest entry.
+    fn push_newest(&mut self, id: u32) {
+        let old_newest = self.newest;
+        let node = &mut self.nodes[id as usize];
+        node.newer = NIL;
+        node.older = old_newest;
+        match old_newest {
+            NIL => self.oldest = id,
+            n => self.nodes[n as usize].newer = id,
+        }
+        self.newest = id;
     }
 
     /// Average number of live entries observed after each processing step.
@@ -267,14 +294,6 @@ impl QSet {
     /// `profile.qset_*_evictions`.
     pub fn evictions(&self) -> u64 {
         self.evictions
-    }
-
-    /// Slots currently buffered, live plus not-yet-compacted stale —
-    /// bounded by `max(16, 2 × len())`. Diagnostic for the compaction
-    /// invariant; memory use is proportional to this, not to trace
-    /// length.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
     }
 }
 
@@ -428,7 +447,7 @@ mod tests {
         let mut q = QSet::new(10_000);
         q.process(0, 10);
         q.process(1, 10);
-        q.process(1, 10); // stale slot for 1 remains internally
+        q.process(1, 10); // re-reference: 1 moves, it is not duplicated
         let ev = q.process(0, 10);
         assert_eq!(ev.interleaved, vec![1], "1 must be reported once");
     }
@@ -443,6 +462,23 @@ mod tests {
         assert!(!q.contains(0));
         let ev = q.process(0, 10);
         assert!(!ev.had_previous);
+    }
+
+    #[test]
+    fn size_change_on_rereference_keeps_live_size_exact() {
+        // The live total follows each id's latest size; a stale first size
+        // here once made the eviction check underflow.
+        let mut q = QSet::new(100);
+        q.process(0, 10);
+        q.process(0, 1000);
+        assert_eq!(q.live_size(), 1000);
+        let ev = q.process(1, 10); // 1010 live; 1010 - 1000 < 100: keep 0
+        assert!(!ev.had_previous);
+        assert_eq!(q.live_size(), 1010);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.evictions(), 0);
+        q.process(0, 10); // shrink: 20 live
+        assert_eq!(q.live_size(), 20);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use tempo::prelude::*;
-use tempo::trg::{QSet, WeightedGraph};
+use tempo::trg::{PairDb, PopularSet, QSet, QStats, WeightedGraph};
 
 // ---------------------------------------------------------------------
 // Generators
@@ -92,23 +92,20 @@ proptest! {
         ops in prop::collection::vec((0u32..40, 1u32..4000), 1..1500),
         bound in 1u64..50_000,
     ) {
-        // Regression: stale slots (superseded references) behind a live,
-        // non-evictable front must not accumulate — the deque is swept so
-        // its length stays within max(16, 2 × live entries) after every
-        // reference, and live entries are themselves bounded by the 2×cache
-        // rule. Without compaction, alternating re-references behind one
-        // old hot block grow `slots` linearly with trace length.
+        // Memory is one node per id ever referenced: however often ids are
+        // re-referenced, the live list holds each id at most once.
         let mut size_of = std::collections::HashMap::new();
         let mut q = QSet::new(bound);
         for (id, size) in ops {
             let size = *size_of.entry(id).or_insert(size);
             q.process(id, size);
             prop_assert!(
-                q.slot_count() <= (q.len() * 2).max(16),
-                "slots {} exceeds bound for {} live entries",
-                q.slot_count(),
-                q.len()
+                q.len() <= size_of.len(),
+                "{} live entries for {} distinct ids",
+                q.len(),
+                size_of.len()
             );
+            prop_assert_eq!(q.entries().count(), q.len());
         }
     }
 }
@@ -116,21 +113,241 @@ proptest! {
 #[test]
 fn qset_adversarial_alternation_does_not_grow_slots() {
     // The concrete adversary: one old hot block that never becomes
-    // evictable, followed by millions of re-references to a second block.
-    // Each re-reference supersedes the previous slot; before compaction
-    // was added, every stale slot stayed buffered behind the live front.
+    // evictable, followed by many re-references to a second block. Each
+    // re-reference moves the second block's one entry; nothing builds up.
     let mut q = QSet::new(1_000_000); // huge bound: nothing ever evicts
     q.process(0, 64);
     for _ in 0..100_000 {
         q.process(1, 64);
-        assert!(q.slot_count() <= 16, "stale slots accumulated");
+        assert_eq!(q.len(), 2, "re-references accumulated entries");
     }
-    assert_eq!(q.len(), 2);
     assert_eq!(q.evictions(), 0);
-    // The interleaving answer is unaffected by compaction.
     let ev = q.process(0, 64);
     assert!(ev.had_previous);
     assert_eq!(ev.interleaved, vec![1]);
+}
+
+/// A plain `Vec` model of the §3 Q-set: `(id, size)`, oldest first.
+#[derive(Default)]
+struct QModel {
+    entries: Vec<(u32, u32)>,
+    evictions: u64,
+    occupancy_sum: u64,
+    occupancy_samples: u64,
+    occupancy_max: usize,
+}
+
+impl QModel {
+    fn live_size(&self) -> u64 {
+        self.entries.iter().map(|&(_, s)| u64::from(s)).sum()
+    }
+
+    fn process(&mut self, id: u32, size: u32, bound: u64) -> (bool, Vec<u32>) {
+        let pos = self.entries.iter().position(|&(e, _)| e == id);
+        let interleaved = match pos {
+            Some(i) => self.entries[i + 1..]
+                .iter()
+                .rev()
+                .map(|&(e, _)| e)
+                .collect(),
+            None => Vec::new(),
+        };
+        if let Some(i) = pos {
+            self.entries.remove(i);
+        }
+        self.entries.push((id, size));
+        while self.entries[0].0 != id && self.live_size() - u64::from(self.entries[0].1) >= bound {
+            self.entries.remove(0);
+            self.evictions += 1;
+        }
+        self.occupancy_sum += self.entries.len() as u64;
+        self.occupancy_samples += 1;
+        self.occupancy_max = self.occupancy_max.max(self.entries.len());
+        (pos.is_some(), interleaved)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn qset_matches_vec_model(
+        ops in prop::collection::vec((0u32..24, 1u32..3000), 1..400),
+        bound in 0u64..20_000,
+    ) {
+        // Sizes are arbitrary per reference, so re-references change sizes.
+        let mut q = QSet::new(bound);
+        let mut model = QModel::default();
+        for (id, size) in ops {
+            let ev = q.process(id, size);
+            let (had_previous, interleaved) = model.process(id, size, bound);
+            prop_assert_eq!(ev.had_previous, had_previous);
+            prop_assert_eq!(&ev.interleaved, &interleaved);
+            prop_assert_eq!(q.len(), model.entries.len());
+            prop_assert_eq!(q.live_size(), model.live_size());
+            prop_assert_eq!(q.evictions(), model.evictions);
+            prop_assert_eq!(q.occupancy_sum(), model.occupancy_sum);
+            prop_assert_eq!(q.occupancy_samples(), model.occupancy_samples);
+            prop_assert_eq!(q.max_occupancy(), model.occupancy_max);
+            let ids: Vec<u32> = model.entries.iter().map(|&(e, _)| e).collect();
+            prop_assert_eq!(q.entries().collect::<Vec<_>>(), ids);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Profiler against a per-event reference
+// ---------------------------------------------------------------------
+
+/// The Q-pass written event by event from the public building blocks:
+/// one `QSet::process` per block reference, one `add_weight(.., 1.0)` per
+/// TRG event and one `PairDb::add(.., 1.0)` per pair event. `warmup`
+/// records only advance the Q-sets and the previous procedure.
+fn reference_profile(
+    program: &Program,
+    cache: CacheConfig,
+    popular: &PopularSet,
+    pair_db: bool,
+    warmup: &[TraceRecord],
+    measured: &[TraceRecord],
+) -> ProfileData {
+    let bound = 2 * u64::from(cache.size());
+    let (mut q_proc, mut q_chunk) = (QSet::new(bound), QSet::new(bound));
+    let mut wcg = WeightedGraph::new();
+    let mut trg_select = WeightedGraph::new();
+    let mut trg_place = WeightedGraph::new();
+    let mut db = pair_db.then(PairDb::new);
+    let mut prev: Option<ProcId> = None;
+    for (phase, measure) in [(warmup, false), (measured, true)] {
+        if measure {
+            q_proc.reset_occupancy(); // begin_measurement
+        }
+        for r in phase {
+            if r.proc.as_usize() >= program.len() || r.bytes == 0 {
+                continue;
+            }
+            if let Some(p) = prev {
+                if measure && p != r.proc {
+                    wcg.add_weight(p.index(), r.proc.index(), 1.0);
+                }
+            }
+            prev = Some(r.proc);
+            if !popular.is_popular(r.proc) {
+                continue;
+            }
+            let size = program.size_of(r.proc);
+            let ev = q_proc.process(r.proc.index(), size);
+            if measure {
+                for &o in &ev.interleaved {
+                    trg_select.add_weight(r.proc.index(), o, 1.0);
+                }
+            }
+            let bytes = r.bytes.min(size);
+            let first = program.chunks_of(r.proc).start;
+            for k in 0..=(bytes - 1) / program.chunk_size() {
+                let chunk = first + k;
+                let ev = q_chunk.process(chunk, program.chunk_len(ChunkId::new(chunk)));
+                if !measure {
+                    continue;
+                }
+                for &o in &ev.interleaved {
+                    trg_place.add_weight(chunk, o, 1.0);
+                }
+                if let Some(db) = db.as_mut() {
+                    for (i, &a) in ev.interleaved.iter().enumerate() {
+                        for &b in &ev.interleaved[i + 1..] {
+                            db.add(chunk, a, b, 1.0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    ProfileData {
+        cache,
+        popular: popular.clone(),
+        wcg,
+        trg_select,
+        trg_place,
+        pair_db: db,
+        q_stats: QStats {
+            average: q_proc.average_occupancy(),
+            max: q_proc.max_occupancy(),
+            occupancy_sum: q_proc.occupancy_sum(),
+            samples: q_proc.occupancy_samples(),
+        },
+    }
+}
+
+// Programs with multi-chunk procedures and hostile records: unknown
+// procedures, zero extents, partial and oversized extents.
+prop_compose! {
+    fn q_pass_case()(
+        sizes in prop::collection::vec(1u32..1500, 2..12),
+        chunk_log in 5u32..9,
+        cache_log in 8u32..12,
+        raw in prop::collection::vec((0u32..14, 0u32..4, 0u32..2000), 0..300),
+        popular_bits in any::<u64>(),
+        split in 0usize..300,
+        pair_db in any::<bool>(),
+    ) -> (Program, CacheConfig, PopularSet, Vec<TraceRecord>, usize, bool) {
+        let mut b = Program::builder();
+        b.chunk_size(1 << chunk_log);
+        for (i, s) in sizes.iter().enumerate() {
+            b.procedure(format!("p{i}"), *s);
+        }
+        let program = b.build().expect("sizes are positive");
+        let cache = CacheConfig::direct_mapped(1 << cache_log).expect("power-of-two size");
+        let n = program.len();
+        let flags: Vec<bool> = (0..n).map(|i| popular_bits >> (i % 64) & 1 == 1).collect();
+        let records: Vec<TraceRecord> = raw
+            .iter()
+            .map(|&(proc, kind, extra)| {
+                let id = ProcId::new(proc);
+                let size = sizes.get(proc as usize).copied().unwrap_or(64);
+                let bytes = match kind {
+                    0 => 0,                           // zero extent
+                    1 => size + extra,                // oversized (or exact)
+                    _ => 1 + extra % size,            // partial
+                };
+                TraceRecord::new(id, bytes)
+            })
+            .collect();
+        let split = split.min(records.len());
+        let mut counts = vec![0u64; n];
+        for r in &records[split..] {
+            if let Some(c) = counts.get_mut(r.proc.as_usize()) {
+                *c += 1;
+            }
+        }
+        let popular = PopularSet::from_parts(flags, counts);
+        (program, cache, popular, records, split, pair_db)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn profiler_matches_per_event_reference(case in q_pass_case()) {
+        let (program, cache, popular, records, split, pair_db) = case;
+        let (warmup, measured) = records.split_at(split);
+        let mut stream = Profiler::new(&program, cache)
+            .with_pair_db(pair_db)
+            .into_stream(popular.clone());
+        for r in warmup {
+            stream.observe_warmup(r);
+        }
+        if split > 0 {
+            stream.begin_measurement();
+        }
+        for r in measured {
+            stream.observe(r);
+        }
+        let got = stream.finish();
+        let want = reference_profile(&program, cache, &popular, pair_db, warmup, measured);
+        prop_assert!(got == want, "profile differs from the reference:\n{got:?}\nvs\n{want:?}");
+    }
 }
 
 // ---------------------------------------------------------------------
