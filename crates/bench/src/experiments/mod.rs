@@ -1,7 +1,7 @@
 //! The experiment bodies, one module per paper table/figure/ablation.
 //!
-//! Each module exposes `run(&mut Ctx)`; the thin binaries in `src/bin/`
-//! and the `tempo-bench run-all` driver both dispatch through the
+//! Each module exposes `run(&mut Ctx)`; the `tempo-bench run-all` driver
+//! dispatches through the
 //! [`harness::REGISTRY`](crate::harness::REGISTRY). Experiments write
 //! their report through the context (never stdout) and expand their
 //! benchmark × algorithm × config matrices into pool jobs, so every

@@ -7,10 +7,10 @@
 //! context collects the experiment's console report, optional CSV rows,
 //! and evaluation counters instead of letting the experiment touch stdout
 //! or the filesystem; that indirection is what makes the same experiment
-//! runnable three ways with byte-identical output:
+//! runnable two ways with byte-identical output:
 //!
-//! * as its historical standalone binary ([`bin_main`]),
 //! * through `tempo-bench run-all` / `tempo-cli bench` ([`run_all`]),
+//!   alone with `--only <name>`,
 //! * from tests against temp dirs (determinism suite).
 //!
 //! Parallelism flows through [`Ctx::run_jobs`]: an experiment expands its
@@ -138,7 +138,7 @@ pub struct Csv {
 /// Everything an experiment produced, ready to print or persist.
 #[derive(Debug)]
 pub struct ExperimentOutput {
-    /// The console report (what the standalone binary prints).
+    /// The console report (`results/<name>.txt`).
     pub text: String,
     /// CSV payload, when the experiment emits one.
     pub csv: Option<Csv>,
@@ -235,8 +235,7 @@ impl Ctx {
     }
 
     /// Where the CSV will be written, when CSV output was requested —
-    /// experiments echo this in their report ("wrote <path>") exactly
-    /// where the historical binaries did.
+    /// experiments echo this in their report (`wrote <path>`).
     pub fn csv_path(&self) -> Option<String> {
         self.csv_path.clone()
     }
@@ -260,12 +259,12 @@ pub struct ExperimentSpec {
     pub name: &'static str,
     /// One-line description for `tempo-bench list`.
     pub title: &'static str,
-    /// Default `--records` (mirrors the historical binary's default).
+    /// Default `--records`.
     pub default_records: usize,
     /// Default `--runs`.
     pub default_runs: usize,
     /// Whether the experiment emits CSV (written to `<out>/<name>.csv`
-    /// by the driver, or to `--out` by the standalone binary).
+    /// by the driver).
     pub has_csv: bool,
     /// The experiment body.
     pub run: fn(&mut Ctx) -> Result<(), ExperimentError>,
@@ -449,30 +448,6 @@ pub fn find(name: &str) -> Option<&'static ExperimentSpec> {
     REGISTRY.iter().find(|s| s.name == name)
 }
 
-/// Entry point for the historical one-experiment binaries: parse common
-/// flags with the experiment's defaults, run, print the report, write the
-/// CSV if `--out` was given.
-///
-/// # Panics
-///
-/// Panics (nonzero exit) when the experiment name is not registered, the
-/// experiment fails, or the CSV cannot be written — the standalone
-/// binaries keep their historical crash-on-error contract.
-pub fn bin_main(name: &str) {
-    let spec = find(name).unwrap_or_else(|| panic!("experiment `{name}` is not registered"));
-    let args = CommonArgs::parse(spec.default_records, spec.default_runs);
-    let csv_path = args.out.clone();
-    let mut ctx = Ctx::new(args, csv_path.clone());
-    if let Err(e) = (spec.run)(&mut ctx) {
-        panic!("experiment `{name}` failed: {e}");
-    }
-    let out = ctx.finish();
-    print!("{}", out.text);
-    if let (Some(path), Some(csv)) = (&csv_path, &out.csv) {
-        crate::write_csv(path, csv.header, &csv.rows).expect("write csv");
-    }
-}
-
 /// Options for [`run_all`].
 #[derive(Debug, Clone)]
 pub struct RunAllOpts {
@@ -635,8 +610,6 @@ pub fn run_all(opts: &RunAllOpts) -> Result<RunAllReport, HarnessError> {
             records: opts.records.unwrap_or(spec.default_records),
             seed: opts.seed,
             runs: opts.runs.unwrap_or(spec.default_runs),
-            out: None,
-            budget_ms: None,
             jobs: opts.jobs,
             prefilter: opts.prefilter,
         };

@@ -1,9 +1,10 @@
-//! Shared plumbing for the experiment binaries that regenerate the paper's
-//! tables and figures.
+//! Shared plumbing for the experiments that regenerate the paper's tables
+//! and figures.
 //!
-//! Each binary in `src/bin/` reproduces one artifact (see DESIGN.md §4 for
-//! the experiment index); this library holds the pieces they share:
-//! argument parsing, the standard trace lengths, CSV emission, and simple
+//! Each experiment in [`harness::REGISTRY`] reproduces one artifact (see
+//! DESIGN.md §4 for the experiment index) and runs through the
+//! `tempo-bench` driver; this library holds the pieces they share: the
+//! common arguments, the standard trace lengths, CSV emission, and simple
 //! statistics.
 
 // In the test build, `unwrap` IS the assertion.
@@ -23,18 +24,15 @@ pub mod sweep;
 ///
 /// The paper's traces are 17M–146M basic blocks; we default to 400k
 /// control-flow transitions, which preserves the phase structure while
-/// keeping every experiment runnable in seconds. Override with the first
-/// CLI argument of each binary.
+/// keeping every experiment runnable in seconds. Override with
+/// `tempo-bench run-all --records N`.
 pub const DEFAULT_TRAIN_LEN: usize = 400_000;
 
 /// Default number of trace records for testing runs.
 pub const DEFAULT_TEST_LEN: usize = 400_000;
 
-/// Parses `--records N` and `--seed N` style overrides from `args`.
-///
-/// Recognized flags: `--records`, `--seed`, `--runs`, `--out`,
-/// `--budget-ms`, `--jobs`, `--prefilter`. Unknown flags are ignored so
-/// binaries can layer their own.
+/// The arguments every experiment runs with, set by `tempo-bench run-all`
+/// from its flags and each experiment's defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommonArgs {
     /// Trace length override.
@@ -43,11 +41,6 @@ pub struct CommonArgs {
     pub seed: u64,
     /// Number of randomized runs (Figure 5: 40; Figure 6: 80).
     pub runs: usize,
-    /// Optional CSV output path.
-    pub out: Option<String>,
-    /// Optional wall-clock budget per placement (milliseconds); placements
-    /// degrade through the fallback chain instead of overrunning.
-    pub budget_ms: Option<u64>,
     /// Worker threads for parallel sweeps (default: available
     /// parallelism). Results are byte-identical for any value.
     pub jobs: usize,
@@ -57,70 +50,10 @@ pub struct CommonArgs {
     pub prefilter: bool,
 }
 
-impl CommonArgs {
-    /// Parses the process arguments with the given defaults.
-    pub fn parse(default_records: usize, default_runs: usize) -> Self {
-        let mut args = CommonArgs {
-            records: default_records,
-            seed: 0xBA5E,
-            runs: default_runs,
-            out: None,
-            budget_ms: None,
-            jobs: tempo_par::available_parallelism(),
-            prefilter: false,
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--records" => {
-                    if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                        args.records = v;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                        args.seed = v;
-                    }
-                }
-                "--runs" => {
-                    if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                        args.runs = v;
-                    }
-                }
-                "--out" => {
-                    args.out = it.next();
-                }
-                "--budget-ms" => {
-                    args.budget_ms = it.next().and_then(|s| s.parse().ok());
-                }
-                "--jobs" => {
-                    if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                        args.jobs = v;
-                    }
-                }
-                "--prefilter" => {
-                    args.prefilter = true;
-                }
-                _ => {}
-            }
-        }
-        args
-    }
-
-    /// The placement [`Budget`](tempo::place::Budget) these arguments
-    /// imply (unlimited when `--budget-ms` was not given).
-    pub fn budget(&self) -> tempo::place::Budget {
-        match self.budget_ms {
-            Some(ms) => tempo::place::Budget::millis(ms),
-            None => tempo::place::Budget::unlimited(),
-        }
-    }
-}
-
 /// Places with `algorithm` and asserts the layout passes the static
 /// analyzer ([`tempo::analyze`]).
 ///
-/// Experiment binaries go through this instead of
+/// Experiments go through this instead of
 /// [`ProfiledSession::place`](tempo::ProfiledSession::place) so a broken
 /// placement aborts the run instead of silently contributing numbers from
 /// an invalid layout.

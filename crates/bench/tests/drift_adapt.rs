@@ -19,8 +19,6 @@ fn adaptive_beats_frozen_and_drift_check_is_sound() {
         records: spec.default_records,
         seed: 0xBA5E,
         runs: spec.default_runs,
-        out: None,
-        budget_ms: None,
         jobs: 2,
         prefilter: false,
     };

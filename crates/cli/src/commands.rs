@@ -5,7 +5,7 @@ use std::io::{BufRead as _, BufReader, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 use tempo::cache::classify;
-use tempo::place::{TrgChains, WcgOffsets};
+use tempo::place::algorithm_by_name;
 use tempo::prelude::*;
 use tempo::trace::analysis::{reuse_distances, working_set_sizes};
 use tempo::trace::io::{ReadMode, TraceIoError, V1Source, V1Writer};
@@ -526,35 +526,11 @@ pub fn profile(args: &ArgMap) -> Result<(), CliError> {
     Ok(())
 }
 
-fn algorithm_by_name(name: &str) -> Result<Box<dyn PlacementAlgorithm>, CliError> {
-    if let Some(seed) = name.strip_prefix("random:") {
-        let seed: u64 = seed
-            .parse()
-            .map_err(|_| CliError::Usage(format!("bad random seed in `{name}`")))?;
-        return Ok(Box::new(RandomOrder::new(seed)));
-    }
-    Ok(match name {
-        "default" => Box::new(SourceOrder::new()),
-        "random" => Box::new(RandomOrder::new(0)),
-        "ph" => Box::new(PettisHansen::new()),
-        "hkc" => Box::new(CacheColoring::new()),
-        "gbsc" => Box::new(Gbsc::new()),
-        "gbsc-sa" => Box::new(GbscSetAssoc::new()),
-        "trg-chains" => Box::new(TrgChains::new()),
-        "wcg-offsets" => Box::new(WcgOffsets::new()),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown algorithm `{other}` (default|random[:SEED]|ph|hkc|gbsc|gbsc-sa|trg-chains|wcg-offsets)"
-            )))
-        }
-    })
-}
-
 /// `place`: run a placement algorithm against a saved profile.
 pub fn place(args: &ArgMap) -> Result<(), CliError> {
     let program = load_program(args)?;
     let profile_path = args.require("profile")?.to_string();
-    let algorithm = algorithm_by_name(args.require("algorithm")?)?;
+    let algorithm = algorithm_by_name(args.require("algorithm")?).map_err(CliError::Usage)?;
     let out = args.require("out")?.to_string();
     let map_out = args.get("map").map(str::to_string);
     let budget_ms: Option<u64> = args.get_parsed("budget-ms")?;
@@ -629,7 +605,8 @@ pub fn engine(args: &ArgMap) -> Result<(), CliError> {
     let program = load_program(args)?;
     let mode = trace_read_mode(args)?;
     let cache = args.cache()?;
-    let algorithm = algorithm_by_name(args.get("algorithm").unwrap_or("gbsc"))?;
+    let algorithm =
+        algorithm_by_name(args.get("algorithm").unwrap_or("gbsc")).map_err(CliError::Usage)?;
     let coverage: f64 = args.get_or("coverage", 0.995)?;
     let epoch_records: u64 = args.get_or("epoch-records", 100_000)?;
     let decay: f64 = args.get_or("decay", 1.0)?;
@@ -1118,7 +1095,7 @@ pub fn daemon(args: &ArgMap) -> Result<(), CliError> {
     let mut config = DaemonConfig::new(args.cache()?);
     if let Some(name) = args.get("algorithm") {
         // Resolve eagerly so a typo fails at startup, not at first open.
-        algorithm_by_name(name)?;
+        algorithm_by_name(name).map_err(CliError::Usage)?;
         config.algorithm = name.to_string();
     }
     config.coverage = args.get_or("coverage", config.coverage)?;

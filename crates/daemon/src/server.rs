@@ -11,11 +11,7 @@ use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use tempo::place::PlacementAlgorithm;
-use tempo::place::{
-    CacheColoring, Gbsc, GbscSetAssoc, PettisHansen, RandomOrder, SourceOrder, TrgChains,
-    WcgOffsets,
-};
+use tempo::place::algorithm_by_name;
 use tempo::program::io::read_program;
 
 use crate::proto::{
@@ -24,31 +20,6 @@ use crate::proto::{
 };
 use crate::tenant::{self, Job, Response, Tenant};
 use crate::DaemonConfig;
-
-/// Resolves a placement algorithm by its CLI name.
-fn algorithm_by_name(name: &str) -> Result<Box<dyn PlacementAlgorithm + Send>, String> {
-    if let Some(seed) = name.strip_prefix("random:") {
-        let seed: u64 = seed
-            .parse()
-            .map_err(|_| format!("bad random seed in `{name}`"))?;
-        return Ok(Box::new(RandomOrder::new(seed)));
-    }
-    Ok(match name {
-        "default" => Box::new(SourceOrder::new()),
-        "random" => Box::new(RandomOrder::new(0)),
-        "ph" => Box::new(PettisHansen::new()),
-        "hkc" => Box::new(CacheColoring::new()),
-        "gbsc" => Box::new(Gbsc::new()),
-        "gbsc-sa" => Box::new(GbscSetAssoc::new()),
-        "trg-chains" => Box::new(TrgChains::new()),
-        "wcg-offsets" => Box::new(WcgOffsets::new()),
-        other => {
-            return Err(format!(
-                "unknown algorithm `{other}` (default|random[:SEED]|ph|hkc|gbsc|gbsc-sa|trg-chains|wcg-offsets)"
-            ))
-        }
-    })
-}
 
 /// State shared by the accept loop and every connection thread.
 struct Shared {

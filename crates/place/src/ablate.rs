@@ -13,12 +13,20 @@
 //! [`WcgOffsets`] takes ingredient 2 without ingredient 1 (call-graph
 //! selection, offset-scan placement). Comparing `PH`, `TrgChains`,
 //! `WcgOffsets`, and `Gbsc` quantifies each ingredient's contribution —
-//! the `ablation_chains` binary in `tempo-bench` runs exactly that.
+//! the `ablation_chains` experiment in `tempo-bench` runs exactly that.
+//!
+//! Both run the shared greedy merge with a swapped selection graph, so
+//! each is exactly its parent algorithm on a substituted graph:
+//! `TrgChains` is PH, tie rule included, with `TRG_select` as the WCG,
+//! and `WcgOffsets` is GBSC with the popular WCG as `TRG_select`.
 
-use tempo_program::{Layout, ProcId};
-use tempo_trg::{ProfileData, WeightedGraph};
+use tempo_program::Layout;
 
-use crate::{PlacementAlgorithm, PlacementContext};
+use crate::budget::BudgetExhausted;
+use crate::context::unbudgeted;
+use crate::merge::popular_wcg;
+use crate::ph::chain_layout;
+use crate::{Gbsc, PlacementAlgorithm, PlacementContext};
 
 /// GBSC's selection (greedy `TRG_select` merging) with PH's placement
 /// (chains combined to minimize the distance between the heaviest edge's
@@ -39,17 +47,20 @@ impl PlacementAlgorithm for TrgChains {
     }
 
     fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-        // Chain-merge over TRG_select (popular procedures only), then
-        // append every other procedure in id order.
-        let order = chain_merge_order(ctx, &ctx.profile.trg_select);
-        Layout::from_order(ctx.program, &order).expect("order is a permutation")
+        unbudgeted(ctx, |ctx| self.try_place(ctx))
+    }
+
+    fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
+        // TRG_select covers popular procedures only; every other
+        // procedure stays a singleton chain and trails in id order.
+        chain_layout(ctx, &ctx.profile.trg_select)
     }
 }
 
 /// PH's selection (greedy WCG merging, popular procedures only) with
 /// GBSC's placement machinery (offset scan costed by `TRG_place`).
 /// The "cache awareness alone" ablation — equivalent to running
-/// [`Gbsc`](crate::Gbsc) with the WCG substituted for `TRG_select`.
+/// [`Gbsc`] with the WCG substituted for `TRG_select`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WcgOffsets;
 
@@ -66,77 +77,21 @@ impl PlacementAlgorithm for WcgOffsets {
     }
 
     fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-        // Build a popular-only WCG and hand it to GBSC's engine by
-        // substituting it into a cloned profile.
-        let mut wcg_popular = WeightedGraph::new();
-        for e in ctx.profile.wcg.edges() {
-            let (a, b) = (ProcId::new(e.a), ProcId::new(e.b));
-            if ctx.profile.popular.is_popular(a) && ctx.profile.popular.is_popular(b) {
-                wcg_popular.add_weight(e.a, e.b, e.w);
-            }
-        }
-        let mut profile: ProfileData = ctx.profile.clone();
-        profile.trg_select = wcg_popular;
-        let sub = PlacementContext::new(ctx.program, &profile);
-        crate::Gbsc::new().place(&sub)
-    }
-}
-
-/// Greedy chain merge over an arbitrary selection graph, PH-style.
-/// Returns a full procedure order (graph nodes first, grouped by chain
-/// weight; procedures absent from the graph appended in id order).
-#[allow(clippy::cast_possible_truncation)] // bounded by construction (see expression)
-fn chain_merge_order(ctx: &PlacementContext<'_>, selection: &WeightedGraph) -> Vec<ProcId> {
-    use std::collections::HashMap;
-
-    let program = ctx.program;
-    let mut working = selection.clone();
-    let mut node_of: Vec<u32> = (0..program.len() as u32).collect();
-    let mut chains: HashMap<u32, Vec<ProcId>> =
-        program.ids().map(|id| (id.index(), vec![id])).collect();
-
-    while let Some(e) = working.heaviest_edge() {
-        let (u, v) = (e.a, e.b);
-        let a = chains.remove(&u).expect("u live");
-        let b = chains.remove(&v).expect("v live");
-        // Heaviest original cross edge decides the combination.
-        let mut heavy: Option<(f64, ProcId, ProcId)> = None;
-        for &p in &a {
-            for q in selection.neighbors(p.index()) {
-                if node_of[q as usize] != v {
-                    continue;
-                }
-                let w = selection.weight(p.index(), q);
-                if heavy.as_ref().is_none_or(|(hw, _, _)| w > *hw) {
-                    heavy = Some((w, p, ProcId::new(q)));
-                }
-            }
-        }
-        let (_, hp, hq) = heavy.expect("cross edge exists");
-        let combined = crate::ph::best_combination(program, &a, &b, hp, hq);
-        for &pid in &b {
-            node_of[pid.as_usize()] = u;
-        }
-        chains.insert(u, combined);
-        working.merge_nodes(u, v);
+        unbudgeted(ctx, |ctx| self.try_place(ctx))
     }
 
-    let mut remaining: Vec<(u32, Vec<ProcId>)> = chains.into_iter().collect();
-    remaining.sort_by_key(|(rep, chain)| {
-        let count: u64 = chain
-            .iter()
-            .map(|id| ctx.profile.popular.count_of(*id))
-            .sum();
-        (std::cmp::Reverse(count), *rep)
-    });
-    remaining.into_iter().flat_map(|(_, c)| c).collect()
+    fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
+        Ok(Gbsc::new()
+            .tuples(ctx, &popular_wcg(ctx.profile))?
+            .into_layout(ctx))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tempo_cache::{simulate, CacheConfig};
-    use tempo_program::Program;
+    use tempo_program::{ProcId, Program};
     use tempo_trace::Trace;
     use tempo_trg::{PopularitySelector, Profiler};
 

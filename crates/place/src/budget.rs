@@ -17,9 +17,10 @@
 //!   failed.
 //!
 //! A *work unit* is one candidate placement decision examined — one
-//! cache-relative offset scanned by GBSC, or one chain endpoint considered
-//! by PH — so budgets are machine-independent and deterministic, while the
-//! deadline guards against wall-clock overruns on any machine.
+//! cache-relative offset scanned (GBSC, GBSC-SA, HKC, WCG+offsets), or one
+//! chain endpoint considered (PH, TRG+chains) — so budgets are
+//! machine-independent and deterministic, while the deadline guards
+//! against wall-clock overruns on any machine.
 
 use std::cell::Cell;
 use std::error::Error;
@@ -424,6 +425,26 @@ mod tests {
         layout.validate(&p).unwrap();
         assert_eq!(d.tier, DegradationTier::Identity);
         assert_eq!(d.exhausted.len(), 1, "PH must not be retried");
+    }
+
+    #[test]
+    fn every_merging_algorithm_honours_a_one_unit_budget() {
+        // A 2-way profile with a pair database, so GBSC-SA runs too.
+        let (p, _) = setup();
+        let ids: Vec<ProcId> = p.ids().collect();
+        let refs = (0..50).flat_map(|_| [ids[0], ids[2]]);
+        let t = Trace::from_full_records(&p, refs);
+        let profile = Profiler::new(&p, CacheConfig::two_way_8k())
+            .popularity(PopularitySelector::all())
+            .with_pair_db(true)
+            .profile(&t);
+        for name in ["ph", "hkc", "gbsc", "gbsc-sa", "trg-chains", "wcg-offsets"] {
+            let algorithm = crate::algorithm_by_name(name).unwrap();
+            let (layout, d) =
+                place_with_fallback(&p, &profile, algorithm.as_ref(), Budget::work_units(1));
+            layout.validate(&p).unwrap();
+            assert_ne!(d.tier, DegradationTier::Full, "{name} overran the budget");
+        }
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl<'a> PlacementContext<'a> {
         self
     }
 
-    /// The attached budget meter, if any.
-    pub fn budget(&self) -> Option<&'a BudgetMeter> {
-        self.budget
-    }
-
     /// Charges `units` of work against the budget, if one is attached.
     ///
     /// # Errors
@@ -57,6 +52,19 @@ impl<'a> PlacementContext<'a> {
     /// The cache geometry the profile was gathered for.
     pub fn cache(&self) -> CacheConfig {
         self.profile.cache
+    }
+}
+
+/// Runs a budget-aware placement step with the context's budget stripped:
+/// the [`place`](PlacementAlgorithm::place) half of every merging
+/// algorithm.
+pub(crate) fn unbudgeted<T>(
+    ctx: &PlacementContext<'_>,
+    run: impl FnOnce(&PlacementContext<'_>) -> Result<T, BudgetExhausted>,
+) -> T {
+    match run(&PlacementContext::new(ctx.program, ctx.profile)) {
+        Ok(t) => t,
+        Err(_) => unreachable!("an unbudgeted merge cannot exhaust"),
     }
 }
 

@@ -21,10 +21,13 @@
 //! `D(p, {r, s})` over triples that would share a set.
 
 use rand::Rng;
+use tempo_cache::CacheConfig;
 use tempo_program::{Layout, ProcId, Program};
-use tempo_trg::{ProfileData, WeightedGraph};
+use tempo_trg::WeightedGraph;
 
-use crate::budget::{BudgetExhausted, BudgetMeter};
+use crate::budget::BudgetExhausted;
+use crate::context::unbudgeted;
+use crate::merge::{greedy_merge, Combine, Nodes};
 use crate::{linearize, PlacementAlgorithm, PlacementContext};
 
 /// The cache-relative alignment decisions for the popular procedures — the
@@ -121,28 +124,83 @@ impl PlacementTuples {
     }
 }
 
-/// Shared merging engine: greedy selection over `TRG_select` with a
-/// pluggable alignment cost.
-struct Merger<'a> {
-    program: &'a Program,
+/// The offset combine step of GBSC, GBSC-SA, HKC and WCG+offsets: each
+/// merge scans every cache-relative offset of node `v` against node `u`
+/// and shifts `v` by the one `pick` returns.
+struct Offsets<F> {
     lines: u32,
-    /// Node representative of each procedure (valid for popular procedures).
-    node_of_proc: Vec<u32>,
-    /// Members of each live node, keyed by representative.
-    members: std::collections::HashMap<u32, Vec<ProcId>>,
     /// Current cache-line offset of each procedure within its node's frame.
     offsets: Vec<u32>,
-    /// Chunk geometry: owning procedure, line offset within it and length
-    /// in lines, indexed by global chunk id.
-    chunk_owner: Vec<ProcId>,
-    chunk_rel_line: Vec<u32>,
-    chunk_nlines: Vec<u32>,
+    /// `pick(offsets, nodes, u, v)`: the shift of node `v` to commit.
+    pick: F,
 }
 
-impl<'a> Merger<'a> {
-    fn new(program: &'a Program, profile: &ProfileData) -> Self {
-        let cache = profile.cache;
-        let lines = cache.lines();
+impl<F: FnMut(&[u32], &Nodes, u32, u32) -> u32> Combine for Offsets<F> {
+    /// One work unit per candidate offset scanned.
+    fn charge(&self, _: &Nodes, _: u32, _: u32) -> u64 {
+        u64::from(self.lines)
+    }
+
+    fn combine(&mut self, nodes: &mut Nodes, u: u32, v: u32) {
+        let shift = (self.pick)(&self.offsets, nodes, u, v);
+        for p in nodes.members(v) {
+            let offset = &mut self.offsets[p.as_usize()];
+            *offset = (*offset + shift) % self.lines;
+        }
+    }
+}
+
+/// Greedy offset merging of the popular procedures over `selection`,
+/// returning their final alignments.
+///
+/// # Errors
+///
+/// Returns [`BudgetExhausted`] when the context's budget trips mid-merge.
+pub(crate) fn offset_tuples(
+    ctx: &PlacementContext<'_>,
+    selection: &WeightedGraph,
+    pick: impl FnMut(&[u32], &Nodes, u32, u32) -> u32,
+) -> Result<PlacementTuples, BudgetExhausted> {
+    let lines = ctx.cache().lines();
+    let mut step = Offsets {
+        lines,
+        offsets: vec![0; ctx.program.len()],
+        pick,
+    };
+    let nodes = greedy_merge(ctx, selection, ctx.profile.popular.iter(), &mut step)?;
+    let mut tuples = PlacementTuples::new(ctx.program.len(), lines);
+    for (_, members) in nodes.live() {
+        for &p in members {
+            tuples.set_offset(p, step.offsets[p.as_usize()]);
+        }
+    }
+    Ok(tuples)
+}
+
+/// The first offset of minimal cost (the paper: "selects the first of
+/// these offsets" on ties).
+#[allow(clippy::cast_possible_truncation)] // an offset is below the line count
+pub(crate) fn first_min<T: PartialOrd>(costs: impl IntoIterator<Item = T>) -> u32 {
+    let mut best: Option<(usize, T)> = None;
+    for (i, c) in costs.into_iter().enumerate() {
+        if best.as_ref().is_none_or(|(_, b)| c < *b) {
+            best = Some((i, c));
+        }
+    }
+    best.map_or(0, |(i, _)| i as u32)
+}
+
+/// Chunk geometry for the chunk-grain costs: owning procedure, line
+/// offset within it and length in lines, indexed by global chunk id.
+struct ChunkLines {
+    lines: u32,
+    owner: Vec<ProcId>,
+    rel_line: Vec<u32>,
+    nlines: Vec<u32>,
+}
+
+impl ChunkLines {
+    fn new(program: &Program, cache: CacheConfig) -> Self {
         let line_size = cache.line_size();
         let lines_per_chunk = program.chunk_size() / line_size;
         assert!(
@@ -150,107 +208,33 @@ impl<'a> Merger<'a> {
             "chunk size must be at least one cache line"
         );
         let nchunks = program.chunk_count() as usize;
-        let mut chunk_owner = Vec::with_capacity(nchunks);
-        let mut chunk_rel_line = vec![0u32; nchunks];
-        let mut chunk_nlines = vec![0u32; nchunks];
+        let mut geometry = ChunkLines {
+            lines: cache.lines(),
+            owner: Vec::with_capacity(nchunks),
+            rel_line: vec![0; nchunks],
+            nlines: vec![0; nchunks],
+        };
         for info in tempo_program::Chunks::new(program) {
-            chunk_owner.push(info.owner);
-            chunk_rel_line[info.id.as_usize()] = info.ordinal * lines_per_chunk;
-            chunk_nlines[info.id.as_usize()] = info.len.div_ceil(line_size);
+            geometry.owner.push(info.owner);
+            geometry.rel_line[info.id.as_usize()] = info.ordinal * lines_per_chunk;
+            geometry.nlines[info.id.as_usize()] = info.len.div_ceil(line_size);
         }
-
-        let mut node_of_proc = vec![u32::MAX; program.len()];
-        let mut members = std::collections::HashMap::new();
-        for id in profile.popular.iter() {
-            node_of_proc[id.as_usize()] = id.index();
-            members.insert(id.index(), vec![id]);
-        }
-        Merger {
-            program,
-            lines,
-            node_of_proc,
-            members,
-            offsets: vec![0u32; program.len()],
-            chunk_owner,
-            chunk_rel_line,
-            chunk_nlines,
-        }
+        geometry
     }
 
     /// The node a chunk's owning procedure currently belongs to.
     #[inline]
-    fn node_of_chunk(&self, chunk: u32) -> u32 {
-        self.node_of_proc[self.chunk_owner[chunk as usize].as_usize()]
+    fn node(&self, nodes: &Nodes, chunk: u32) -> u32 {
+        nodes.node_of(self.owner[chunk as usize].index())
     }
 
-    /// Absolute cache lines (mod line count) occupied by a chunk, given the
-    /// current offset of its owner.
-    fn chunk_lines(&self, chunk: u32) -> impl Iterator<Item = u32> + '_ {
+    /// Absolute cache lines (mod line count) occupied by a chunk, given
+    /// the current offset of its owner.
+    fn lines<'s>(&'s self, offsets: &'s [u32], chunk: u32) -> impl Iterator<Item = u32> + 's {
         let c = chunk as usize;
-        let start = self.offsets[self.chunk_owner[c].as_usize()] + self.chunk_rel_line[c];
+        let start = offsets[self.owner[c].as_usize()] + self.rel_line[c];
         let lines = self.lines;
-        (0..self.chunk_nlines[c].min(lines)).map(move |k| (start + k) % lines)
-    }
-
-    /// Applies the chosen relative offset and merges node `v` into `u`.
-    fn commit(&mut self, working: &mut WeightedGraph, u: u32, v: u32, offset: u32) {
-        let moved = self.members.remove(&v).expect("v is a live node");
-        for &p in &moved {
-            self.offsets[p.as_usize()] = (self.offsets[p.as_usize()] + offset) % self.lines;
-            self.node_of_proc[p.as_usize()] = u;
-        }
-        self.members
-            .get_mut(&u)
-            .expect("u is a live node")
-            .extend(moved);
-        working.merge_nodes(u, v);
-    }
-
-    /// Runs the greedy merge loop with `cost(self, u, v) -> acc` supplying
-    /// the per-offset cost of aligning node `v` against node `u`, and
-    /// returns the final tuples.
-    ///
-    /// When a budget meter is supplied, each merge first charges one work
-    /// unit per candidate offset it is about to scan; on exhaustion the
-    /// loop unwinds *before* doing the work, so a budget of one unit stops
-    /// the very first merge.
-    #[allow(clippy::cast_possible_truncation)] // bounded by construction (see expression)
-    fn run<F>(
-        mut self,
-        trg_select: &WeightedGraph,
-        popular_count: usize,
-        budget: Option<&BudgetMeter>,
-        mut cost: F,
-    ) -> Result<PlacementTuples, BudgetExhausted>
-    where
-        F: FnMut(&Merger<'_>, u32, u32) -> Vec<f64>,
-    {
-        let mut working = trg_select.clone();
-        while let Some(e) = working.heaviest_edge() {
-            if let Some(meter) = budget {
-                meter.charge(u64::from(self.lines))?;
-            }
-            let (u, v) = (e.a, e.b);
-            let acc = cost(&self, u, v);
-            debug_assert_eq!(acc.len(), self.lines as usize);
-            // First minimal offset (the paper: "selects the first of these
-            // offsets" on ties).
-            let mut best = 0usize;
-            for (i, &c) in acc.iter().enumerate() {
-                if c < acc[best] {
-                    best = i;
-                }
-            }
-            self.commit(&mut working, u, v, best as u32);
-        }
-        let mut tuples = PlacementTuples::new(self.program.len(), self.lines);
-        for (i, &node) in self.node_of_proc.iter().enumerate() {
-            if node != u32::MAX {
-                tuples.set_offset(ProcId::new(i as u32), self.offsets[i]);
-            }
-        }
-        debug_assert_eq!(tuples.aligned_count(), popular_count);
-        Ok(tuples)
+        (0..self.nlines[c].min(lines)).map(move |k| (start + k) % lines)
     }
 }
 
@@ -274,81 +258,62 @@ impl Gbsc {
     /// linearization, like the paper's Figure 6). Ignores any budget
     /// attached to the context.
     pub fn place_tuples(&self, ctx: &PlacementContext<'_>) -> PlacementTuples {
-        match self.tuples_impl(ctx, None) {
-            Ok(tuples) => tuples,
-            Err(_) => unreachable!("unbudgeted merge loop cannot exhaust"),
-        }
+        unbudgeted(ctx, |ctx| self.tuples(ctx, &ctx.profile.trg_select))
     }
 
-    /// Budget-aware merging phase: honours a meter attached via
-    /// [`PlacementContext::with_budget`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetExhausted`] when the budget trips mid-merge.
-    pub fn try_place_tuples(
+    /// Budget-aware merging over `selection` (`TRG_select` for GBSC, the
+    /// popular WCG for WCG+offsets), costed by `TRG_place`.
+    pub(crate) fn tuples(
         &self,
         ctx: &PlacementContext<'_>,
+        selection: &WeightedGraph,
     ) -> Result<PlacementTuples, BudgetExhausted> {
-        self.tuples_impl(ctx, ctx.budget())
-    }
-
-    #[allow(clippy::cast_possible_truncation)] // bounded by construction (see expression)
-    fn tuples_impl(
-        &self,
-        ctx: &PlacementContext<'_>,
-        budget: Option<&BudgetMeter>,
-    ) -> Result<PlacementTuples, BudgetExhausted> {
-        let merger = Merger::new(ctx.program, ctx.profile);
+        let program = ctx.program;
+        let geometry = ChunkLines::new(program, ctx.cache());
         let trg_place = &ctx.profile.trg_place;
-        let lines = ctx.cache().lines() as usize;
-        merger.run(
-            &ctx.profile.trg_select,
-            ctx.profile.popular.count(),
-            budget,
-            |m, u, v| {
-                // Figure 4's cost scan, computed sparsely: for every
-                // TRG_place edge crossing the two nodes, each pair of
-                // co-residable lines votes for the relative offset that
-                // would make them collide.
-                let mut acc = vec![0.0f64; lines];
-                // Iterate the smaller node's chunks for small-to-large cost.
-                let (iter_node, other, iter_is_v) = {
-                    let cu: usize = m.members[&u]
-                        .iter()
-                        .map(|p| m.program.chunks_of(*p).len())
-                        .sum();
-                    let cv: usize = m.members[&v]
-                        .iter()
-                        .map(|p| m.program.chunks_of(*p).len())
-                        .sum();
-                    if cv <= cu {
-                        (v, u, true)
-                    } else {
-                        (u, v, false)
-                    }
-                };
-                for &p in &m.members[&iter_node] {
-                    for chunk in m.program.chunks_of(p) {
-                        for nbr in trg_place.neighbors(chunk) {
-                            if m.node_of_chunk(nbr) != other {
-                                continue;
-                            }
-                            let w = trg_place.weight(chunk, nbr);
-                            // `acc[i]` = cost of shifting node v by i:
-                            // collision when line_u == line_v + i (mod L).
-                            for la in m.chunk_lines(if iter_is_v { nbr } else { chunk }) {
-                                for lb in m.chunk_lines(if iter_is_v { chunk } else { nbr }) {
-                                    let i = (la + lines as u32 - lb) % lines as u32;
-                                    acc[i as usize] += w;
-                                }
+        let lines = ctx.cache().lines();
+        offset_tuples(ctx, selection, move |offsets, nodes, u, v| {
+            // Figure 4's cost scan, computed sparsely: for every TRG_place
+            // edge crossing the two nodes, each pair of co-residable lines
+            // votes for the relative offset that would make them collide.
+            let mut acc = vec![0.0f64; lines as usize];
+            // Iterate the smaller node's chunks for small-to-large cost.
+            let chunks = |n: u32| -> usize {
+                nodes
+                    .members(n)
+                    .iter()
+                    .map(|p| program.chunks_of(*p).len())
+                    .sum()
+            };
+            let (iter_node, other, iter_is_v) = if chunks(v) <= chunks(u) {
+                (v, u, true)
+            } else {
+                (u, v, false)
+            };
+            for &p in nodes.members(iter_node) {
+                for chunk in program.chunks_of(p) {
+                    for nbr in trg_place.neighbors(chunk) {
+                        if geometry.node(nodes, nbr) != other {
+                            continue;
+                        }
+                        let w = trg_place.weight(chunk, nbr);
+                        let (cu, cv) = if iter_is_v {
+                            (nbr, chunk)
+                        } else {
+                            (chunk, nbr)
+                        };
+                        // `acc[i]` = cost of shifting node v by i:
+                        // collision when line_u == line_v + i (mod L).
+                        for la in geometry.lines(offsets, cu) {
+                            for lb in geometry.lines(offsets, cv) {
+                                acc[((la + lines - lb) % lines) as usize] += w;
                             }
                         }
                     }
                 }
-                acc
-            },
-        )
+            }
+            first_min(&acc)
+        })
     }
 }
 
@@ -362,7 +327,7 @@ impl PlacementAlgorithm for Gbsc {
     }
 
     fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
-        Ok(self.try_place_tuples(ctx)?.into_layout(ctx))
+        Ok(self.tuples(ctx, &ctx.profile.trg_select)?.into_layout(ctx))
     }
 }
 
@@ -375,6 +340,12 @@ impl PlacementAlgorithm for Gbsc {
 /// 2-way displacement rule precisely; for higher associativities it is a
 /// conservative approximation (the paper's k-victim generalization is
 /// combinatorially explosive to profile).
+///
+/// # Panics
+///
+/// Placement panics if the profile lacks a pair database (enable
+/// [`with_pair_db`](tempo_trg::Profiler::with_pair_db) when profiling) or
+/// if the cache is direct-mapped (use [`Gbsc`] instead).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GbscSetAssoc;
 
@@ -382,115 +353,6 @@ impl GbscSetAssoc {
     /// Creates the algorithm.
     pub fn new() -> Self {
         GbscSetAssoc
-    }
-
-    /// Runs only the merging phase (see [`Gbsc::place_tuples`]). Ignores
-    /// any budget attached to the context.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile lacks a pair database (enable
-    /// [`with_pair_db`](tempo_trg::Profiler::with_pair_db) when profiling)
-    /// or if the cache is direct-mapped (use [`Gbsc`] instead).
-    pub fn place_tuples(&self, ctx: &PlacementContext<'_>) -> PlacementTuples {
-        match self.tuples_impl(ctx, None) {
-            Ok(tuples) => tuples,
-            Err(_) => unreachable!("unbudgeted merge loop cannot exhaust"),
-        }
-    }
-
-    /// Budget-aware merging phase: honours a meter attached via
-    /// [`PlacementContext::with_budget`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetExhausted`] when the budget trips mid-merge.
-    ///
-    /// # Panics
-    ///
-    /// As [`place_tuples`](GbscSetAssoc::place_tuples): panics without a
-    /// pair database or on a direct-mapped cache.
-    pub fn try_place_tuples(
-        &self,
-        ctx: &PlacementContext<'_>,
-    ) -> Result<PlacementTuples, BudgetExhausted> {
-        self.tuples_impl(ctx, ctx.budget())
-    }
-
-    fn tuples_impl(
-        &self,
-        ctx: &PlacementContext<'_>,
-        budget: Option<&BudgetMeter>,
-    ) -> Result<PlacementTuples, BudgetExhausted> {
-        let db = ctx.profile.pair_db.as_ref().expect(
-            "set-associative placement needs a pair database; enable Profiler::with_pair_db",
-        );
-        assert!(
-            !ctx.cache().is_direct_mapped(),
-            "GbscSetAssoc targets set-associative caches; use Gbsc for direct-mapped"
-        );
-        let merger = Merger::new(ctx.program, ctx.profile);
-        let sets = ctx.cache().sets();
-        let lines = ctx.cache().lines() as usize;
-        // Pre-collect the associations once; each merge filters by node,
-        // through the merger's chunk -> owner table.
-        let assocs: Vec<(u32, u32, u32, f64)> =
-            db.iter().map(|(k, w)| (k.p, k.r, k.s, w)).collect();
-        merger.run(
-            &ctx.profile.trg_select,
-            ctx.profile.popular.count(),
-            budget,
-            |m, u, v| {
-                let mut acc = vec![0.0f64; lines];
-                for &(p, r, s, w) in &assocs {
-                    let np = m.node_of_chunk(p);
-                    let nr = m.node_of_chunk(r);
-                    let ns = m.node_of_chunk(s);
-                    let in_uv = |n: u32| n == u || n == v;
-                    if !(in_uv(np) && in_uv(nr) && in_uv(ns)) {
-                        continue; // a participant is elsewhere: alignment here is moot
-                    }
-                    if np == nr && nr == ns {
-                        continue; // intra-node cost is invariant under the scan
-                    }
-                    // Sets occupied by each chunk in its node frame.
-                    let sets_of = |chunk: u32| -> Vec<u32> {
-                        m.chunk_lines(chunk).map(|l| l % sets).collect()
-                    };
-                    // Split participants into the fixed node (u) and the
-                    // shifted node (v), intersect within each side.
-                    let mut fixed: Option<Vec<u32>> = None;
-                    let mut shifted: Option<Vec<u32>> = None;
-                    for &(chunk, node) in &[(p, np), (r, nr), (s, ns)] {
-                        let mine = sets_of(chunk);
-                        let slot = if node == u { &mut fixed } else { &mut shifted };
-                        *slot = Some(match slot.take() {
-                            None => mine,
-                            Some(prev) => prev.into_iter().filter(|x| mine.contains(x)).collect(),
-                        });
-                    }
-                    let (Some(fa), Some(sb)) = (fixed, shifted) else {
-                        continue;
-                    };
-                    // A displacement needs all three in one set: every
-                    // (fixed-set, shifted-set) pair votes for the shifts
-                    // that align them. Shifting node v by `i` lines moves
-                    // its sets by `i mod sets`.
-                    for &sa in &fa {
-                        for &sb_ in &sb {
-                            let base = (sa + sets - sb_) % sets;
-                            // All line offsets congruent to `base` mod sets.
-                            let mut i = base;
-                            while (i as usize) < lines {
-                                acc[i as usize] += w;
-                                i += sets;
-                            }
-                        }
-                    }
-                }
-                acc
-            },
-        )
     }
 }
 
@@ -500,20 +362,84 @@ impl PlacementAlgorithm for GbscSetAssoc {
     }
 
     fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-        self.place_tuples(ctx).into_layout(ctx)
+        unbudgeted(ctx, |ctx| self.try_place(ctx))
     }
 
     fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
-        Ok(self.try_place_tuples(ctx)?.into_layout(ctx))
+        let db = ctx.profile.pair_db.as_ref().expect(
+            "set-associative placement needs a pair database; enable Profiler::with_pair_db",
+        );
+        assert!(
+            !ctx.cache().is_direct_mapped(),
+            "GbscSetAssoc targets set-associative caches; use Gbsc for direct-mapped"
+        );
+        let geometry = ChunkLines::new(ctx.program, ctx.cache());
+        let sets = ctx.cache().sets();
+        let lines = ctx.cache().lines() as usize;
+        // Pre-collect the associations once; each merge filters by node,
+        // through the chunk -> owner table.
+        let assocs: Vec<(u32, u32, u32, f64)> =
+            db.iter().map(|(k, w)| (k.p, k.r, k.s, w)).collect();
+        let tuples = offset_tuples(ctx, &ctx.profile.trg_select, move |offsets, nodes, u, v| {
+            let mut acc = vec![0.0f64; lines];
+            for &(p, r, s, w) in &assocs {
+                let np = geometry.node(nodes, p);
+                let nr = geometry.node(nodes, r);
+                let ns = geometry.node(nodes, s);
+                let in_uv = |n: u32| n == u || n == v;
+                if !(in_uv(np) && in_uv(nr) && in_uv(ns)) {
+                    continue; // a participant is elsewhere: alignment here is moot
+                }
+                if np == nr && nr == ns {
+                    continue; // intra-node cost is invariant under the scan
+                }
+                // Sets occupied by each chunk in its node frame.
+                let sets_of = |chunk: u32| -> Vec<u32> {
+                    geometry.lines(offsets, chunk).map(|l| l % sets).collect()
+                };
+                // Split participants into the fixed node (u) and the
+                // shifted node (v), intersect within each side.
+                let mut fixed: Option<Vec<u32>> = None;
+                let mut shifted: Option<Vec<u32>> = None;
+                for &(chunk, node) in &[(p, np), (r, nr), (s, ns)] {
+                    let mine = sets_of(chunk);
+                    let slot = if node == u { &mut fixed } else { &mut shifted };
+                    *slot = Some(match slot.take() {
+                        None => mine,
+                        Some(prev) => prev.into_iter().filter(|x| mine.contains(x)).collect(),
+                    });
+                }
+                let (Some(fa), Some(sb)) = (fixed, shifted) else {
+                    continue;
+                };
+                // A displacement needs all three in one set: every
+                // (fixed-set, shifted-set) pair votes for the shifts
+                // that align them. Shifting node v by `i` lines moves
+                // its sets by `i mod sets`.
+                for &sa in &fa {
+                    for &sb_ in &sb {
+                        let base = (sa + sets - sb_) % sets;
+                        // All line offsets congruent to `base` mod sets.
+                        let mut i = base;
+                        while (i as usize) < lines {
+                            acc[i as usize] += w;
+                            i += sets;
+                        }
+                    }
+                }
+            }
+            first_min(&acc)
+        })?;
+        Ok(tuples.into_layout(ctx))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempo_cache::{simulate, CacheConfig};
+    use tempo_cache::simulate;
     use tempo_trace::Trace;
-    use tempo_trg::{PopularitySelector, Profiler};
+    use tempo_trg::{PopularitySelector, ProfileData, Profiler};
 
     fn profile_for(
         program: &Program,

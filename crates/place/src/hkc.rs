@@ -18,9 +18,11 @@
 //! GBSC sees both.
 
 use tempo_program::{Layout, ProcId};
-use tempo_trg::WeightedGraph;
 
-use crate::gbsc::PlacementTuples;
+use crate::budget::BudgetExhausted;
+use crate::context::unbudgeted;
+use crate::gbsc::{first_min, offset_tuples, PlacementTuples};
+use crate::merge::popular_wcg;
 use crate::{PlacementAlgorithm, PlacementContext};
 
 /// The cache-line-coloring placement algorithm (HKC).
@@ -33,50 +35,29 @@ impl CacheColoring {
         CacheColoring
     }
 
-    /// Runs only the merging phase, returning cache-relative alignments.
+    /// Budget-aware merging phase, returning cache-relative alignments.
     #[allow(clippy::cast_possible_truncation)] // bounded by construction (see expression)
-    pub fn place_tuples(&self, ctx: &PlacementContext<'_>) -> PlacementTuples {
+    fn tuples(&self, ctx: &PlacementContext<'_>) -> Result<PlacementTuples, BudgetExhausted> {
         let program = ctx.program;
-        let profile = ctx.profile;
-        let cache = ctx.cache();
-        let lines = cache.lines();
-        let line_size = cache.line_size();
-
-        // Restrict the WCG to popular procedures: unpopular ones are placed
-        // as gap fillers, exactly as in GBSC.
-        let mut wcg_popular = WeightedGraph::new();
-        for e in profile.wcg.edges() {
-            let (a, b) = (ProcId::new(e.a), ProcId::new(e.b));
-            if profile.popular.is_popular(a) && profile.popular.is_popular(b) {
-                wcg_popular.add_weight(e.a, e.b, e.w);
-            }
-        }
-
-        // Greedy merge over the WCG; cost = WCG weight summed over every
-        // cache line where two cross-node procedures would overlap.
-        let mut working = wcg_popular.clone();
-        let mut node_of: Vec<u32> = (0..program.len() as u32).collect();
-        let mut members: std::collections::HashMap<u32, Vec<ProcId>> = profile
-            .popular
-            .iter()
-            .map(|id| (id.index(), vec![id]))
-            .collect();
-        let mut offsets = vec![0u32; program.len()];
+        let lines = ctx.cache().lines();
+        let line_size = ctx.cache().line_size();
         let proc_nlines =
             |id: ProcId| -> u32 { program.size_of(id).div_ceil(line_size).min(lines) };
 
-        while let Some(e) = working.heaviest_edge() {
-            let (u, v) = (e.a, e.b);
+        // Greedy merge over the popular WCG; cost = WCG weight summed over
+        // every cache line where two cross-node procedures would overlap.
+        let wcg = &popular_wcg(ctx.profile);
+        offset_tuples(ctx, wcg, move |offsets, nodes, u, v| {
             // Primary cost: weighted overlap with WCG neighbors across the
             // two nodes.
             let mut acc = vec![0.0f64; lines as usize];
-            for &pv in &members[&v] {
-                for nbr in wcg_popular.neighbors(pv.index()) {
-                    if node_of[nbr as usize] != u {
+            for &pv in nodes.members(v) {
+                for nbr in wcg.neighbors(pv.index()) {
+                    if nodes.node_of(nbr) != u {
                         continue;
                     }
                     let pu = ProcId::new(nbr);
-                    let w = wcg_popular.weight(pv.index(), nbr);
+                    let w = wcg.weight(pv.index(), nbr);
                     for ka in 0..proc_nlines(pu) {
                         let la = (offsets[pu.as_usize()] + ka) % lines;
                         for kb in 0..proc_nlines(pv) {
@@ -90,13 +71,13 @@ impl CacheColoring {
             // with equal neighbor cost, prefer unused cache lines — count
             // line-slot collisions against *every* procedure of node u.
             let mut occupancy = vec![0u32; lines as usize];
-            for &pu in &members[&u] {
+            for &pu in nodes.members(u) {
                 for ka in 0..proc_nlines(pu) {
                     occupancy[((offsets[pu.as_usize()] + ka) % lines) as usize] += 1;
                 }
             }
             let mut fill = vec![0u64; lines as usize];
-            for &pv in &members[&v] {
+            for &pv in nodes.members(v) {
                 for kb in 0..proc_nlines(pv) {
                     let lb = (offsets[pv.as_usize()] + kb) % lines;
                     for (la, &occ) in occupancy.iter().enumerate() {
@@ -107,26 +88,8 @@ impl CacheColoring {
                     }
                 }
             }
-            let mut best = 0usize;
-            for i in 1..acc.len() {
-                if (acc[i], fill[i]) < (acc[best], fill[best]) {
-                    best = i;
-                }
-            }
-            let moved = members.remove(&v).expect("v is live");
-            for &p in &moved {
-                offsets[p.as_usize()] = (offsets[p.as_usize()] + best as u32) % lines;
-                node_of[p.as_usize()] = u;
-            }
-            members.get_mut(&u).expect("u is live").extend(moved);
-            working.merge_nodes(u, v);
-        }
-
-        let mut tuples = PlacementTuples::new(program.len(), lines);
-        for id in profile.popular.iter() {
-            tuples.set_offset(id, offsets[id.as_usize()]);
-        }
-        tuples
+            first_min(acc.iter().zip(&fill))
+        })
     }
 }
 
@@ -136,7 +99,11 @@ impl PlacementAlgorithm for CacheColoring {
     }
 
     fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-        self.place_tuples(ctx).into_layout(ctx)
+        unbudgeted(ctx, |ctx| self.try_place(ctx))
+    }
+
+    fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
+        Ok(self.tuples(ctx)?.into_layout(ctx))
     }
 }
 
@@ -200,7 +167,7 @@ mod tests {
         let prof = profile(&p, &t, cache);
         assert_eq!(prof.wcg.weight(1, 2), 0.0, "siblings have no WCG edge");
         let ctx = PlacementContext::new(&p, &prof);
-        let tuples = CacheColoring::new().place_tuples(&ctx);
+        let tuples = CacheColoring::new().tuples(&ctx).unwrap();
         let lines = |id: ProcId| -> Vec<u32> {
             let off = tuples.offset(id).unwrap();
             (0..680u32.div_ceil(32)).map(|k| (off + k) % 64).collect()
@@ -230,7 +197,7 @@ mod tests {
             .popularity(PopularitySelector::coverage(0.99).with_min_count(2))
             .profile(&t);
         let ctx = PlacementContext::new(&p, &prof);
-        let tuples = CacheColoring::new().place_tuples(&ctx);
+        let tuples = CacheColoring::new().tuples(&ctx).unwrap();
         assert_eq!(tuples.aligned_count(), 2);
         assert!(tuples.offset(ids[2]).is_none());
         let layout = CacheColoring::new().place(&ctx);

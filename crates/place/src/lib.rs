@@ -71,6 +71,7 @@ pub mod exhaustive;
 mod gbsc;
 mod hkc;
 mod linearize;
+mod merge;
 pub mod metric;
 mod ph;
 pub mod splitting;
@@ -86,3 +87,35 @@ pub use hkc::CacheColoring;
 pub use linearize::linearize;
 pub use ph::PettisHansen;
 pub use splitting::{SplitPlan, SplitProgram};
+
+/// Resolves a placement algorithm by its command-line name: `default`,
+/// `random[:SEED]`, `ph`, `hkc`, `gbsc`, `gbsc-sa`, `trg-chains` or
+/// `wcg-offsets`.
+///
+/// # Errors
+///
+/// Returns a usage message naming the accepted names for an unknown name
+/// or a malformed seed.
+pub fn algorithm_by_name(name: &str) -> Result<Box<dyn PlacementAlgorithm + Send>, String> {
+    if let Some(seed) = name.strip_prefix("random:") {
+        let seed: u64 = seed
+            .parse()
+            .map_err(|_| format!("bad random seed in `{name}`"))?;
+        return Ok(Box::new(RandomOrder::new(seed)));
+    }
+    Ok(match name {
+        "default" => Box::new(SourceOrder::new()),
+        "random" => Box::new(RandomOrder::new(0)),
+        "ph" => Box::new(PettisHansen::new()),
+        "hkc" => Box::new(CacheColoring::new()),
+        "gbsc" => Box::new(Gbsc::new()),
+        "gbsc-sa" => Box::new(GbscSetAssoc::new()),
+        "trg-chains" => Box::new(TrgChains::new()),
+        "wcg-offsets" => Box::new(WcgOffsets::new()),
+        other => {
+            return Err(format!(
+                "unknown algorithm `{other}` (default|random[:SEED]|ph|hkc|gbsc|gbsc-sa|trg-chains|wcg-offsets)"
+            ))
+        }
+    })
+}

@@ -8,11 +8,14 @@
 //! crossing the chains. The final layout concatenates the surviving chains
 //! and packs procedures with no gaps.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 use tempo_program::{Layout, ProcId, Program};
+use tempo_trg::WeightedGraph;
 
-use crate::budget::{BudgetExhausted, BudgetMeter};
+use crate::budget::BudgetExhausted;
+use crate::context::unbudgeted;
+use crate::merge::{greedy_merge, Combine, Nodes};
 use crate::{PlacementAlgorithm, PlacementContext};
 
 /// The Pettis–Hansen placement algorithm.
@@ -24,104 +27,78 @@ impl PettisHansen {
     pub fn new() -> Self {
         PettisHansen
     }
+}
 
-    /// Runs the chain-merging phase, returning the final procedure order.
-    /// Ignores any budget attached to the context.
-    pub fn place_order(&self, ctx: &PlacementContext<'_>) -> Vec<ProcId> {
-        match self.order_impl(ctx, None) {
-            Ok(order) => order,
-            Err(_) => unreachable!("unbudgeted merge loop cannot exhaust"),
-        }
+/// PH's combine step over a selection graph: the two chains join end to
+/// end, oriented by the heaviest selection edge crossing them.
+struct Chains<'a> {
+    program: &'a Program,
+    selection: &'a WeightedGraph,
+}
+
+impl Combine for Chains<'_> {
+    /// One work unit per chain endpoint considered.
+    fn charge(&self, nodes: &Nodes, u: u32, v: u32) -> u64 {
+        (nodes.members(u).len() + nodes.members(v).len()) as u64
     }
 
-    /// Budget-aware chain merging: honours a meter attached via
-    /// [`PlacementContext::with_budget`], charging one work unit per chain
-    /// endpoint considered by a merge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetExhausted`] when the budget trips mid-merge.
-    pub fn try_place_order(
-        &self,
-        ctx: &PlacementContext<'_>,
-    ) -> Result<Vec<ProcId>, BudgetExhausted> {
-        self.order_impl(ctx, ctx.budget())
-    }
-
-    #[allow(clippy::cast_possible_truncation)] // bounded by construction (see expression)
-    fn order_impl(
-        &self,
-        ctx: &PlacementContext<'_>,
-        budget: Option<&BudgetMeter>,
-    ) -> Result<Vec<ProcId>, BudgetExhausted> {
-        let program = ctx.program;
-        let orig = &ctx.profile.wcg;
-        let mut working = orig.clone();
-
-        let mut node_of: Vec<u32> = (0..program.len() as u32).collect();
-        let mut chains: HashMap<u32, Vec<ProcId>> =
-            program.ids().map(|id| (id.index(), vec![id])).collect();
-
-        while let Some(e) = working.heaviest_edge() {
-            let (u, v) = (e.a, e.b);
-            let a = chains.remove(&u).expect("u is live");
-            let b = chains.remove(&v).expect("v is live");
-            if let Some(meter) = budget {
-                // Cost of this merge ≈ endpoints examined across both
-                // chains; charged before the work so exhaustion stops the
-                // merge from running.
-                meter.charge((a.len() + b.len()) as u64)?;
-            }
-
-            // Heaviest original edge crossing the two chains.
-            let mut heavy: Option<(f64, ProcId, ProcId)> = None;
-            for &p in &a {
-                for q in orig.neighbors(p.index()) {
-                    if node_of[q as usize] != v {
-                        continue;
-                    }
-                    let w = orig.weight(p.index(), q);
-                    let key = (w, std::cmp::Reverse((p.index(), q)));
-                    let better = match &heavy {
-                        None => true,
-                        Some((hw, hp, hq)) => {
-                            key > (*hw, std::cmp::Reverse((hp.index(), hq.index())))
-                        }
-                    };
-                    if better {
-                        heavy = Some((w, p, ProcId::new(q)));
-                    }
+    fn combine(&mut self, nodes: &mut Nodes, u: u32, v: u32) {
+        // Heaviest original edge crossing the two chains; ties go to the
+        // smallest `(p, q)`.
+        let mut heavy: Option<(f64, Reverse<(u32, u32)>)> = None;
+        for &p in nodes.members(u) {
+            for q in self.selection.neighbors(p.index()) {
+                if nodes.node_of(q) != v {
+                    continue;
+                }
+                let key = (self.selection.weight(p.index(), q), Reverse((p.index(), q)));
+                if heavy.is_none_or(|best| key > best) {
+                    heavy = Some(key);
                 }
             }
-            let (_, hp, hq) = heavy.expect("working edge implies an original cross edge");
-
-            let combined = best_combination(program, &a, &b, hp, hq);
-            for &pid in &b {
-                node_of[pid.as_usize()] = u;
-            }
-            chains.insert(u, combined);
-            working.merge_nodes(u, v);
         }
-
-        // Concatenate surviving chains: heaviest (by dynamic count) first,
-        // ties by smallest member id; never-referenced procedures land at
-        // the end in id order.
-        let mut remaining: Vec<(u32, Vec<ProcId>)> = chains.into_iter().collect();
-        remaining.sort_by_key(|(rep, chain)| {
-            let count: u64 = chain
-                .iter()
-                .map(|id| ctx.profile.popular.count_of(*id))
-                .sum();
-            (std::cmp::Reverse(count), *rep)
-        });
-        Ok(remaining.into_iter().flat_map(|(_, c)| c).collect())
+        let (_, Reverse((hp, hq))) = heavy.expect("working edge implies an original cross edge");
+        let (hp, hq) = (ProcId::new(hp), ProcId::new(hq));
+        let combined = best_combination(self.program, nodes.members(u), nodes.members(v), hp, hq);
+        let (a, b) = combined.split_at(nodes.members(u).len());
+        nodes.members_mut(u).copy_from_slice(a);
+        nodes.members_mut(v).copy_from_slice(b);
     }
+}
+
+/// Greedy chain merging over `selection` (the WCG for PH, `TRG_select`
+/// for TRG+chains), packed with no gaps: surviving chains heaviest (by
+/// dynamic count) first, ties by smallest label, so never-referenced
+/// procedures land at the end in id order.
+///
+/// # Errors
+///
+/// Returns [`BudgetExhausted`] when the context's budget trips mid-merge.
+pub(crate) fn chain_layout(
+    ctx: &PlacementContext<'_>,
+    selection: &WeightedGraph,
+) -> Result<Layout, BudgetExhausted> {
+    let mut step = Chains {
+        program: ctx.program,
+        selection,
+    };
+    let nodes = greedy_merge(ctx, selection, ctx.program.ids(), &mut step)?;
+    let mut chains: Vec<(u32, &[ProcId])> = nodes.live().collect();
+    chains.sort_by_key(|&(label, chain)| {
+        let count: u64 = chain
+            .iter()
+            .map(|id| ctx.profile.popular.count_of(*id))
+            .sum();
+        (Reverse(count), label)
+    });
+    let order: Vec<ProcId> = chains.iter().flat_map(|&(_, c)| c).copied().collect();
+    Ok(Layout::from_order(ctx.program, &order).expect("chain concatenation is a permutation"))
 }
 
 /// Combines chains `a` and `b` as `AB`, `AB'`, `A'B`, or `A'B'`, choosing
 /// the variant that minimizes the byte distance between procedures `p ∈ a`
 /// and `q ∈ b` (ties resolved in the order listed).
-pub(crate) fn best_combination(
+fn best_combination(
     program: &Program,
     a: &[ProcId],
     b: &[ProcId],
@@ -180,13 +157,11 @@ impl PlacementAlgorithm for PettisHansen {
     }
 
     fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-        let order = self.place_order(ctx);
-        Layout::from_order(ctx.program, &order).expect("chain concatenation is a permutation")
+        unbudgeted(ctx, |ctx| self.try_place(ctx))
     }
 
     fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
-        let order = self.try_place_order(ctx)?;
-        Ok(Layout::from_order(ctx.program, &order).expect("chain concatenation is a permutation"))
+        chain_layout(ctx, &ctx.profile.wcg)
     }
 }
 
@@ -221,15 +196,13 @@ mod tests {
         let t = Trace::from_full_records(&p, refs);
         let prof = profile(&p, &t);
         let ctx = PlacementContext::new(&p, &prof);
-        let order = PettisHansen::new().place_order(&ctx);
-        let pos = |id: ProcId| order.iter().position(|&x| x == id).unwrap();
-        assert_eq!(
-            pos(ids[3]).abs_diff(pos(ids[0])),
-            1,
-            "a and b must be adjacent"
-        );
+        let layout = PettisHansen::new().place(&ctx);
+        let (a, b) = (layout.addr(ids[0]), layout.addr(ids[3]));
+        // Both are 4096 bytes and the pads sum to 4096: only adjacency
+        // puts them exactly 4096 apart.
+        assert_eq!(a.abs_diff(b), 4096, "a and b must be adjacent");
         // The hot chain leads the layout.
-        assert!(pos(ids[0]).min(pos(ids[3])) == 0);
+        assert_eq!(a.min(b), 0);
     }
 
     #[test]

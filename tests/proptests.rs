@@ -5,6 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)] // test/demo code asserts by panicking
 
 use proptest::prelude::*;
+use tempo::place::TrgChains;
 use tempo::prelude::*;
 use tempo::trg::{PairDb, PopularSet, QSet, QStats, WeightedGraph};
 
@@ -599,6 +600,34 @@ proptest! {
             g.misses,
             d.misses
         );
+    }
+}
+
+proptest! {
+    #[test]
+    fn trg_chains_is_ph_with_trg_select_as_the_wcg(
+        (program, trace) in program_and_trace(),
+        edges in prop::collection::vec((0u32..20, 0u32..20, 1u32..4), 1..60),
+    ) {
+        // One chain merge serves both: TRG+chains must be PH, tie rule
+        // included, over the substituted graph. Weights from {1, 2, 3}
+        // make equal-weight cross edges the common case.
+        let n = program.len() as u32;
+        let mut graph = WeightedGraph::new();
+        for (a, b, w) in edges {
+            let (a, b) = (a % n, b % n);
+            if a != b {
+                graph.add_weight(a, b, f64::from(w));
+            }
+        }
+        let mut profile = Profiler::new(&program, CacheConfig::direct_mapped(2048).unwrap())
+            .popularity(PopularitySelector::all())
+            .profile(&trace);
+        profile.trg_select = graph.clone();
+        let chains = TrgChains::new().place(&PlacementContext::new(&program, &profile));
+        profile.wcg = graph;
+        let ph = PettisHansen::new().place(&PlacementContext::new(&program, &profile));
+        prop_assert_eq!(chains, ph);
     }
 }
 
