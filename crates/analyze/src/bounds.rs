@@ -27,6 +27,12 @@
 //! and conflict misses ≤ warm misses ≤ Σ_L warm(L) = `hi`. The bound is
 //! sound for any associativity and any trace consistent with the counts.
 //!
+//! No per-line table is built: each extent becomes a `+count` event at
+//! its first line and a `−count` event past its last, one sort and sweep
+//! turn the events into maximal runs of lines with equal `A`, and the
+//! per-set sums come from the runs. Memory is O(procedures + sets)
+//! however far apart the extents lie.
+//!
 //! # Lower bound: alternation-weighted forced misses
 //!
 //! `TRG_select` counts alternation events: weight `w(p, q)` is the number
@@ -45,8 +51,6 @@
 //! cache (`capacity_free`): then a same-size fully-associative cache never
 //! evicts, the 3C split charges zero capacity misses, and every forced
 //! warm miss is a conflict miss. Otherwise `lo = 0`.
-
-use std::collections::BTreeMap;
 
 use tempo_cache::CacheConfig;
 use tempo_program::{Layout, ProcId, Program};
@@ -92,16 +96,28 @@ impl std::fmt::Display for MissBounds {
     }
 }
 
-/// Per-memory-line access upper bounds for every procedure the layout
-/// covers: `line → Σ count(p)` over procedures whose placed extent spans
-/// the line. `BTreeMap` keeps iteration deterministic.
-fn line_access_bounds(
+/// A maximal run of memory lines `first..end` that all share the access
+/// upper bound `a`.
+#[derive(Debug, Clone, Copy)]
+struct LineRun {
+    first: u64,
+    end: u64,
+    a: u64,
+}
+
+/// Per-memory-line access upper bounds `A(L) = Σ count(p)` over the
+/// procedures whose placed extent covers `L`, as maximal runs in
+/// ascending line order, swept from sorted extent events (see the module
+/// docs). Lines no counted procedure covers are absent.
+fn line_runs(
     program: &Program,
     layout: &Layout,
     cache: CacheConfig,
     popular: &PopularSet,
-) -> BTreeMap<u64, u64> {
-    let mut acc: BTreeMap<u64, u64> = BTreeMap::new();
+) -> Vec<LineRun> {
+    // (line, opens, count): `opens` is false for the event one past an
+    // extent's last line.
+    let mut events: Vec<(u64, bool, u64)> = Vec::new();
     for id in program.ids() {
         if id.as_usize() >= layout.len() {
             continue;
@@ -115,13 +131,80 @@ fn line_access_bounds(
         if size == 0 {
             continue;
         }
+        // An extent running past the address space covers no line
+        // (corrupt layouts reach the analyzer unvalidated).
+        let Some(end_addr) = addr.checked_add(size - 1) else {
+            continue;
+        };
         let first = cache.line_of_addr(addr);
-        let last = cache.line_of_addr(addr + size - 1);
-        for line in first..=last {
-            *acc.entry(line).or_insert(0) += count;
+        let last = cache.line_of_addr(end_addr);
+        events.push((first, true, count));
+        events.push((last + 1, false, count));
+    }
+    events.sort_unstable_by_key(|&(line, _, _)| line);
+
+    let mut runs: Vec<LineRun> = Vec::new();
+    // `covering` counts the extents over the current line, so a line is
+    // touched exactly when it is positive; `a` sums their counts.
+    let (mut covering, mut a) = (0usize, 0u64);
+    let mut i = 0;
+    while i < events.len() {
+        let line = events[i].0;
+        while let Some(&(at, opens, count)) = events.get(i) {
+            if at != line {
+                break;
+            }
+            if opens {
+                covering += 1;
+                a = a.wrapping_add(count);
+            } else {
+                covering -= 1;
+                a = a.wrapping_sub(count);
+            }
+            i += 1;
+        }
+        if covering == 0 {
+            continue;
+        }
+        // An open extent has its closing event still ahead.
+        let end = events[i].0;
+        match runs.last_mut() {
+            Some(run) if run.end == line && run.a == a => run.end = end,
+            _ => runs.push(LineRun {
+                first: line,
+                end,
+                a,
+            }),
         }
     }
-    acc
+    runs
+}
+
+/// Calls `f(set, lines)` once or twice per cache set the run's lines map
+/// to, `lines` being how many of them map there: O(min(run length,
+/// sets)) calls.
+#[allow(clippy::cast_possible_truncation)] // set indices are below `sets`
+fn for_each_set(run: &LineRun, sets: u64, mut f: impl FnMut(usize, u64)) {
+    let len = run.end - run.first;
+    let (laps, rest) = (len / sets, len % sets);
+    if laps > 0 {
+        for set in 0..sets as usize {
+            f(set, laps);
+        }
+    }
+    let start = run.first % sets;
+    for k in 0..rest {
+        f(((start + k) % sets) as usize, 1);
+    }
+}
+
+/// `A(line)`: the access bound of the run holding `line`, or 0.
+fn access_bound(runs: &[LineRun], line: u64) -> u64 {
+    let i = runs.partition_point(|r| r.end <= line);
+    match runs.get(i) {
+        Some(r) if r.first <= line => r.a,
+        _ => 0,
+    }
 }
 
 /// Computes the sound conflict-miss interval for one layout.
@@ -131,6 +214,9 @@ fn line_access_bounds(
 /// procedure-grain alternation weights the lower bound is built from
 /// (pass `None` to get `lo = 0`). Procedures the layout does not cover
 /// are ignored, so the bound degrades gracefully on partial layouts.
+///
+/// Time is O(P log P + runs · min(run length, sets)) and memory
+/// O(P + sets) for P covered procedures — never O(line span).
 pub fn miss_bounds(
     program: &Program,
     layout: &Layout,
@@ -138,33 +224,37 @@ pub fn miss_bounds(
     popular: &PopularSet,
     trg_select: Option<&WeightedGraph>,
 ) -> MissBounds {
-    let acc = line_access_bounds(program, layout, cache, popular);
-    let touched_lines = acc.len() as u64;
+    let runs = line_runs(program, layout, cache, popular);
+    let touched_lines: u64 = runs.iter().map(|r| r.end - r.first).sum();
     let capacity_free = touched_lines <= u64::from(cache.lines());
     let assoc = u64::from(cache.associativity());
+    let sets = u64::from(cache.sets());
 
-    // Group resident memory lines by cache set and apply the per-line
-    // occupancy interval bound.
-    let mut sets: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-    for (&line, &a) in &acc {
-        sets.entry(cache.set_of_line(line)).or_default().push(a);
+    // Per-set totals of the resident lines' bounds, and how many memory
+    // lines are resident in each set.
+    let mut total = vec![0u64; cache.sets() as usize];
+    let mut resident = vec![0u64; cache.sets() as usize];
+    for run in &runs {
+        for_each_set(run, sets, |set, lines| {
+            total[set] += lines * run.a;
+            resident[set] += lines;
+        });
     }
+    // Apply the per-line occupancy interval bound in contested sets.
     let mut hi = 0u64;
-    let mut contested_sets = 0u32;
-    for lines in sets.values() {
-        if lines.len() < 2 {
-            continue;
-        }
-        contested_sets += 1;
-        let total: u64 = lines.iter().sum();
-        for &a in lines {
-            hi += a.saturating_sub(1).min((total - a) / assoc);
-        }
+    for run in &runs {
+        for_each_set(run, sets, |set, lines| {
+            if resident[set] >= 2 {
+                hi += lines * run.a.saturating_sub(1).min((total[set] - run.a) / assoc);
+            }
+        });
     }
+    #[allow(clippy::cast_possible_truncation)] // at most `cache.sets()`
+    let contested_sets = resident.iter().filter(|&&n| n >= 2).count() as u32;
 
     let forced = match trg_select {
         Some(trg) if cache.is_direct_mapped() => {
-            forced_misses(program, layout, cache, popular, trg, &acc)
+            forced_misses(program, layout, cache, popular, trg, &runs)
         }
         _ => 0,
     };
@@ -193,7 +283,7 @@ fn forced_misses(
     cache: CacheConfig,
     popular: &PopularSet,
     trg: &WeightedGraph,
-    acc: &BTreeMap<u64, u64>,
+    runs: &[LineRun],
 ) -> u64 {
     // Witness line of a covered procedure: the memory line of its first
     // byte, which every record of the procedure touches.
@@ -205,12 +295,8 @@ fn forced_misses(
     };
     // Spoilage: references by other procedures whose extent covers the
     // witness line, each able to rescue at most one alternation event.
-    let spoil = |id: ProcId, w: u64| -> u64 {
-        acc.get(&w)
-            .copied()
-            .unwrap_or(0)
-            .saturating_sub(popular.count_of(id))
-    };
+    let spoil =
+        |id: ProcId, w: u64| -> u64 { access_bound(runs, w).saturating_sub(popular.count_of(id)) };
 
     let nprocs = program.len() as u32;
     let mut candidates: Vec<(u64, u32, u32)> = Vec::new();
@@ -627,6 +713,25 @@ mod tests {
             &[&layout, &layout, &layout],
         );
         assert!(report.survivors() >= 1);
+    }
+
+    #[test]
+    fn an_extent_past_the_address_space_covers_no_line() {
+        let program = program();
+        let cache = small_cache();
+        let trace = ping_pong(&program, 20);
+        let profile = profile(&program, &trace, cache);
+        let bounds = |addrs: Vec<u64>| {
+            miss_bounds(
+                &program,
+                &Layout::from_addresses(addrs),
+                cache,
+                &profile.popular,
+                Some(&profile.trg_select),
+            )
+        };
+        // `b` wraps past u64::MAX: it counts like an uncovered procedure.
+        assert_eq!(bounds(vec![0, u64::MAX - 8, 2048]), bounds(vec![0]));
     }
 
     #[test]

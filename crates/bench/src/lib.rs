@@ -66,37 +66,14 @@ pub fn checked_place(
     session: &tempo::ProfiledSession<'_>,
     algorithm: &dyn tempo::place::PlacementAlgorithm,
 ) -> tempo::program::Layout {
-    checked_place_budgeted(session, algorithm, tempo::place::Budget::unlimited()).0
-}
-
-/// Budgeted counterpart of [`checked_place`]: places under `budget` with
-/// the fallback chain, asserts the resulting layout is analyzer-clean, and
-/// returns the [`Degradation`](tempo::place::Degradation) record so the
-/// experiment can note which tier produced its numbers.
-///
-/// A degraded run is reported on stderr (the layout is still valid — the
-/// numbers just describe a fallback tier, not the requested algorithm).
-///
-/// # Panics
-///
-/// Panics with the rendered report when the analyzer finds error-severity
-/// diagnostics.
-pub fn checked_place_budgeted(
-    session: &tempo::ProfiledSession<'_>,
-    algorithm: &dyn tempo::place::PlacementAlgorithm,
-    budget: tempo::place::Budget,
-) -> (tempo::program::Layout, tempo::place::Degradation) {
-    let (layout, report, degradation) = session.place_checked_budgeted(algorithm, budget);
+    let (layout, report) = session.place_checked(algorithm);
     assert!(
         report.error_count() == 0,
         "{} produced a layout failing static analysis:\n{}",
-        degradation.ran,
+        algorithm.name(),
         report.render_text(session.program())
     );
-    if degradation.is_degraded() {
-        eprintln!("tempo-bench: warning: {degradation}");
-    }
-    (layout, degradation)
+    layout
 }
 
 /// Writes `rows` as CSV to `path` with the given header.

@@ -5,7 +5,7 @@ use std::io::{BufRead as _, BufReader, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 use tempo::cache::classify;
-use tempo::place::algorithm_by_name;
+use tempo::place::algorithm_for;
 use tempo::prelude::*;
 use tempo::trace::analysis::{reuse_distances, working_set_sizes};
 use tempo::trace::io::{ReadMode, TraceIoError, V1Source, V1Writer};
@@ -530,7 +530,7 @@ pub fn profile(args: &ArgMap) -> Result<(), CliError> {
 pub fn place(args: &ArgMap) -> Result<(), CliError> {
     let program = load_program(args)?;
     let profile_path = args.require("profile")?.to_string();
-    let algorithm = algorithm_by_name(args.require("algorithm")?).map_err(CliError::Usage)?;
+    let name = args.require("algorithm")?.to_string();
     let out = args.require("out")?.to_string();
     let map_out = args.get("map").map(str::to_string);
     let budget_ms: Option<u64> = args.get_parsed("budget-ms")?;
@@ -545,6 +545,8 @@ pub fn place(args: &ArgMap) -> Result<(), CliError> {
             program.len()
         )));
     }
+    let algorithm =
+        algorithm_for(&name, profile.cache, profile.pair_db.is_some()).map_err(CliError::Usage)?;
     let session = tempo::ProfiledSession::from_profile(&program, profile);
     let budget = Budget {
         max_work_units: budget_work,
@@ -605,8 +607,9 @@ pub fn engine(args: &ArgMap) -> Result<(), CliError> {
     let program = load_program(args)?;
     let mode = trace_read_mode(args)?;
     let cache = args.cache()?;
-    let algorithm =
-        algorithm_by_name(args.get("algorithm").unwrap_or("gbsc")).map_err(CliError::Usage)?;
+    // The engine builds no pair database.
+    let algorithm = algorithm_for(args.get("algorithm").unwrap_or("gbsc"), cache, false)
+        .map_err(CliError::Usage)?;
     let coverage: f64 = args.get_or("coverage", 0.995)?;
     let epoch_records: u64 = args.get_or("epoch-records", 100_000)?;
     let decay: f64 = args.get_or("decay", 1.0)?;
@@ -1094,8 +1097,9 @@ pub fn daemon(args: &ArgMap) -> Result<(), CliError> {
     let tcp = args.get("tcp").map(str::to_string);
     let mut config = DaemonConfig::new(args.cache()?);
     if let Some(name) = args.get("algorithm") {
-        // Resolve eagerly so a typo fails at startup, not at first open.
-        algorithm_by_name(name).map_err(CliError::Usage)?;
+        // Resolve eagerly so a typo, or an algorithm the engine cannot
+        // run, fails at startup, not at first open.
+        algorithm_for(name, config.cache, false).map_err(CliError::Usage)?;
         config.algorithm = name.to_string();
     }
     config.coverage = args.get_or("coverage", config.coverage)?;
@@ -1271,7 +1275,7 @@ pub fn client(args: &ArgMap) -> Result<(), CliError> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use tempo::place::algorithm_by_name;
 
     #[test]
     fn algorithm_names_resolve() {

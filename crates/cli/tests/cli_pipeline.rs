@@ -387,6 +387,86 @@ fn lossy_streaming_recovers_corrupt_v2_frames() {
 }
 
 #[test]
+fn gbsc_sa_without_its_inputs_is_a_usage_error() {
+    let dir = workdir("sa-usage");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    run(&cmd(&[
+        "generate",
+        "--bench",
+        "perl",
+        "--records",
+        "4000",
+        "--program",
+        &p("prog"),
+        "--trace",
+        &p("train"),
+    ]))
+    .expect("generate");
+    let usage = |args: &[&str]| match run(&cmd(args)) {
+        Err(tempo_cli::CliError::Usage(message)) => message,
+        other => panic!("expected a usage error from {args:?}, got {other:?}"),
+    };
+    // `place` on a direct-mapped profile, and on a 2-way profile made
+    // without `--pair-db`.
+    for (cache, want) in [
+        ("8192x32x1", "set-associative"),
+        ("8192x32x2", "pair database"),
+    ] {
+        run(&cmd(&[
+            "profile",
+            "--program",
+            &p("prog"),
+            "--trace",
+            &p("train"),
+            "--cache",
+            cache,
+            "--out",
+            &p("profile"),
+        ]))
+        .expect("profile");
+        let message = usage(&[
+            "place",
+            "--program",
+            &p("prog"),
+            "--profile",
+            &p("profile"),
+            "--algorithm",
+            "gbsc-sa",
+            "--out",
+            &p("sa.layout"),
+        ]);
+        assert!(message.contains(want), "{message}");
+    }
+    // `engine` never builds a pair database.
+    let message = usage(&[
+        "engine",
+        "--program",
+        &p("prog"),
+        "--trace",
+        &p("train"),
+        "--cache",
+        "8192x32x2",
+        "--algorithm",
+        "gbsc-sa",
+        "--out",
+        &p("engine.layout"),
+    ]);
+    assert!(message.contains("pair database"), "{message}");
+    // Nor do tempod's tenant engines: the daemon refuses to start.
+    let message = usage(&[
+        "daemon",
+        "--socket",
+        &p("tempod.sock"),
+        "--cache",
+        "8192x32x2",
+        "--algorithm",
+        "gbsc-sa",
+    ]);
+    assert!(message.contains("pair database"), "{message}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn usage_errors_are_reported() {
     assert!(run(&[]).is_err());
     assert!(run(&cmd(&["frobnicate"])).is_err());

@@ -11,10 +11,13 @@
 //! 1. The trace is consumed in **epochs** (fixed record counts, or
 //!    frame-aligned ranges planned by [`plan_epochs`] in the style of
 //!    [`plan_shards`](crate::plan_shards)).
-//! 2. Each epoch is profiled with the PR 7 merge monoid and folded into a
-//!    **decaying window**: `window.decay(λ); window.merge(&epoch)`. With
-//!    `λ = 1.0` the window is a plain running sum — bit-identical to the
-//!    one-shot profile over the records seen so far.
+//! 2. Each epoch is profiled and folded into a **decaying window**:
+//!    `window.decay(λ)`, then the epoch's profile stream folds its edge
+//!    tallies straight into the window
+//!    ([`ProfileStream::fold_into`](tempo_trg::ProfileStream::fold_into)),
+//!    bit-identical to `window.merge(&epoch)` without building the epoch's
+//!    graphs. With `λ = 1.0` the window is a plain running sum —
+//!    bit-identical to the one-shot profile over the records seen so far.
 //! 3. After each epoch a **cheap drift check** runs *before* any
 //!    placement is paid for — the placement analogue of the PR 6
 //!    simulation prefilter. The engine remembers the normalized
@@ -37,8 +40,10 @@
 //! the pinned flags via [`PopularSet::from_parts`].
 //!
 //! Observability: `engine.epochs`, `engine.decays`, `engine.placements`,
-//! `engine.replacements`, `engine.drift_skips` counters and an
-//! `engine.epoch` span per epoch.
+//! `engine.replacements`, `engine.drift_skips` counters, an
+//! `engine.epoch` span per epoch, and inside it the `engine.profile`
+//! (epoch Q-pass), `engine.fold` (decay and fold), `engine.bound` (each
+//! [`miss_bounds`] ceiling) and `engine.place` spans.
 
 use tempo_analyze::miss_bounds;
 use tempo_cache::{simulate, CacheConfig, SimStats};
@@ -46,7 +51,7 @@ use tempo_place::{PlacementAlgorithm, PlacementContext};
 use tempo_program::{Layout, Program};
 use tempo_trace::io::TraceIoError;
 use tempo_trace::v2::FrameEntry;
-use tempo_trace::{Trace, TraceRecord, TraceSource};
+use tempo_trace::{MemorySource, Trace, TraceRecord, TraceSource};
 use tempo_trg::{PopularSet, PopularitySelector, ProfileData, Profiler};
 
 /// Configuration of an incremental [`Engine`].
@@ -234,6 +239,7 @@ impl<'p> Engine<'p> {
         // 1. Profile the epoch and fold it into the window.
         match (&mut self.window, &self.pinned) {
             (Some(window), Some(pinned)) => {
+                let profile_span = tempo_obs::span("engine.profile");
                 let mut counts = vec![0u64; self.program.len()];
                 for r in epoch_trace.iter() {
                     if let Some(c) = counts.get_mut(r.proc.as_usize()) {
@@ -241,23 +247,30 @@ impl<'p> Engine<'p> {
                     }
                 }
                 let epoch_popular = PopularSet::from_parts(pinned.clone(), counts);
-                let epoch_profile = Profiler::new(self.program, self.config.cache)
-                    .with_popular(epoch_popular)
-                    .profile(epoch_trace);
+                let mut stream =
+                    Profiler::new(self.program, self.config.cache).into_stream(epoch_popular);
+                stream
+                    .consume(MemorySource::new(epoch_trace))
+                    .unwrap_or_else(|_| unreachable!("in-memory sources never fail"));
+                profile_span.finish();
+                let _fold_span = tempo_obs::span("engine.fold");
                 if self.config.decay < 1.0 {
                     window.decay(self.config.decay);
                     tempo_obs::counter("engine.decays").incr();
                 }
-                window
-                    .merge(&epoch_profile)
+                stream
+                    .fold_into(window)
                     .expect("epoch profiles share the pinned membership by construction");
             }
             _ => {
                 // First epoch: identical code path to the one-shot
                 // pipeline — select popularity here and pin membership.
-                let profile = Profiler::new(self.program, self.config.cache)
-                    .popularity(self.config.selector)
-                    .profile(epoch_trace);
+                let profile = {
+                    let _span = tempo_obs::span("engine.profile");
+                    Profiler::new(self.program, self.config.cache)
+                        .popularity(self.config.selector)
+                        .profile(epoch_trace)
+                };
                 self.pinned = Some(
                     self.program
                         .ids()
@@ -273,18 +286,13 @@ impl<'p> Engine<'p> {
             .expect("window exists after the first epoch");
 
         // 2. Re-bound the incumbent under the updated window — the cheap
-        // half of the drift check.
+        // half of the drift check. Only `hi` is read, so no lower bound
+        // is computed.
         let weight = window.trg_select.total_weight();
-        let incumbent_hi = self.layout.as_ref().map(|current| {
-            miss_bounds(
-                self.program,
-                current,
-                self.config.cache,
-                &window.popular,
-                Some(&window.trg_select),
-            )
-            .hi
-        });
+        let incumbent_hi = self
+            .layout
+            .as_ref()
+            .map(|current| self.ceiling(current, window));
 
         // 3. Drift check: estimate what a fresh candidate could bound to
         // from the anchor; place only when the estimated improvement
@@ -322,14 +330,7 @@ impl<'p> Engine<'p> {
                     self.algorithm
                         .place(&PlacementContext::new(self.program, window))
                 };
-                let fresh_hi = miss_bounds(
-                    self.program,
-                    &fresh,
-                    self.config.cache,
-                    &window.popular,
-                    Some(&window.trg_select),
-                )
-                .hi;
+                let fresh_hi = self.ceiling(&fresh, window);
                 // Re-anchor on every computed candidate, adopted or not:
                 // the estimate must track what placement can currently do.
                 self.anchor = Some(if weight > 0.0 {
@@ -384,6 +385,19 @@ impl<'p> Engine<'p> {
             replaced,
             stats,
         }
+    }
+
+    /// The [`miss_bounds`] ceiling of `layout` under `window`.
+    fn ceiling(&self, layout: &Layout, window: &ProfileData) -> u64 {
+        let _span = tempo_obs::span("engine.bound");
+        miss_bounds(
+            self.program,
+            layout,
+            self.config.cache,
+            &window.popular,
+            None,
+        )
+        .hi
     }
 
     /// Consumes a whole source in epochs of

@@ -11,7 +11,7 @@ use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use tempo::place::algorithm_by_name;
+use tempo::place::algorithm_for;
 use tempo::program::io::read_program;
 
 use crate::proto::{
@@ -392,7 +392,8 @@ fn open_session(
         Ok(p) => p,
         Err(e) => return Response::Err(format!("tenant program does not parse: {e}")),
     };
-    let algorithm = match algorithm_by_name(&shared.config.algorithm) {
+    // Tenant engines build no pair database.
+    let algorithm = match algorithm_for(&shared.config.algorithm, shared.config.cache, false) {
         Ok(a) => a,
         Err(e) => return Response::Err(e),
     };

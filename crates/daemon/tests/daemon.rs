@@ -372,3 +372,22 @@ fn requests_before_open_are_rejected_with_messages() {
     c.shutdown().expect("shutdown succeeds");
     server.join().expect("server thread exits");
 }
+
+#[test]
+fn gbsc_sa_is_refused_at_open_not_in_the_worker() {
+    // Tenant engines build no pair database, so GBSC-SA could only panic
+    // its worker; the OPEN that would create the tenant fails instead.
+    let mut config = test_config();
+    config.cache = tempo::cache::CacheConfig::new(8192, 32, 2).expect("valid geometry");
+    config.algorithm = "gbsc-sa".to_string();
+    let f = fixture(3, 200);
+    let (path, server) = start_daemon("gbsc-sa", config);
+    let mut c = Client::connect_unix(&path).expect("client connects");
+    let err = c
+        .open("sa", Some(&f.program_text))
+        .expect_err("gbsc-sa tenant is refused");
+    assert!(err.to_string().contains("pair database"), "{err}");
+    assert!(c.server_stats().is_ok(), "the connection stays usable");
+    c.shutdown().expect("shutdown succeeds");
+    server.join().expect("server thread exits");
+}

@@ -345,7 +345,9 @@ impl PlacementAlgorithm for Gbsc {
 ///
 /// Placement panics if the profile lacks a pair database (enable
 /// [`with_pair_db`](tempo_trg::Profiler::with_pair_db) when profiling) or
-/// if the cache is direct-mapped (use [`Gbsc`] instead).
+/// if the cache is direct-mapped (use [`Gbsc`] instead). Resolving the
+/// algorithm through [`algorithm_for`](crate::algorithm_for) rejects both
+/// cases before any placement runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GbscSetAssoc;
 

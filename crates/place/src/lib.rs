@@ -76,6 +76,8 @@ pub mod metric;
 mod ph;
 pub mod splitting;
 
+use tempo_cache::CacheConfig;
+
 pub use ablate::{TrgChains, WcgOffsets};
 pub use baseline::{RandomOrder, SourceOrder};
 pub use budget::{
@@ -87,6 +89,39 @@ pub use hkc::CacheColoring;
 pub use linearize::linearize;
 pub use ph::PettisHansen;
 pub use splitting::{SplitPlan, SplitProgram};
+
+/// Resolves a placement algorithm by name, like [`algorithm_by_name`], for
+/// profiles gathered for `cache` with (`pair_db`) or without a §6 pair
+/// database — the combination a caller will hand it.
+///
+/// # Errors
+///
+/// Everything [`algorithm_by_name`] rejects, plus `gbsc-sa` on a
+/// direct-mapped cache or without a pair database: it would panic when
+/// placing.
+pub fn algorithm_for(
+    name: &str,
+    cache: CacheConfig,
+    pair_db: bool,
+) -> Result<Box<dyn PlacementAlgorithm + Send>, String> {
+    let algorithm = algorithm_by_name(name)?;
+    if name == "gbsc-sa" {
+        if cache.is_direct_mapped() {
+            return Err(
+                "`gbsc-sa` targets set-associative caches; use `gbsc` for a direct-mapped cache"
+                    .to_string(),
+            );
+        }
+        if !pair_db {
+            return Err(
+                "`gbsc-sa` needs a profile with a pair database (`profile --pair-db`); \
+                 the epoch engine and tempod build none"
+                    .to_string(),
+            );
+        }
+    }
+    Ok(algorithm)
+}
 
 /// Resolves a placement algorithm by its command-line name: `default`,
 /// `random[:SEED]`, `ph`, `hkc`, `gbsc`, `gbsc-sa`, `trg-chains` or
@@ -118,4 +153,23 @@ pub fn algorithm_by_name(name: &str) -> Result<Box<dyn PlacementAlgorithm + Send
             ))
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gbsc_sa_needs_an_associative_cache_and_a_pair_db() {
+        let dm = CacheConfig::direct_mapped_8k();
+        let two_way = CacheConfig::new(8192, 32, 2).unwrap();
+        assert!(algorithm_for("gbsc-sa", two_way, true).is_ok());
+        let err = algorithm_for("gbsc-sa", dm, true).err().unwrap();
+        assert!(err.contains("set-associative"), "{err}");
+        let err = algorithm_for("gbsc-sa", two_way, false).err().unwrap();
+        assert!(err.contains("pair database"), "{err}");
+        // Everything else places any profile; typos still fail.
+        assert!(algorithm_for("gbsc", dm, false).is_ok());
+        assert!(algorithm_for("bolt", two_way, true).is_err());
+    }
 }

@@ -1,6 +1,6 @@
 //! Undirected weighted graphs over dense `u32` node ids.
 
-use std::collections::btree_set;
+use std::collections::{btree_map, btree_set};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -59,9 +59,17 @@ impl WeightedGraph {
     /// is meaningless for placement.
     pub fn add_weight(&mut self, a: u32, b: u32, w: f64) {
         assert_ne!(a, b, "self-loops are not representable");
-        *self.edges.entry(Self::key(a, b)).or_insert(0.0) += w;
-        self.adj.entry(a).or_default().insert(b);
-        self.adj.entry(b).or_default().insert(a);
+        // Every mutator keeps `edges` and `adj` in sync, so an existing
+        // edge is already in both adjacency sets. A new edge stores
+        // `0.0 + w`, the sum onto an empty weight (`-0.0` becomes `0.0`).
+        match self.edges.entry(Self::key(a, b)) {
+            btree_map::Entry::Occupied(mut e) => *e.get_mut() += w,
+            btree_map::Entry::Vacant(e) => {
+                e.insert(0.0 + w);
+                self.adj.entry(a).or_default().insert(b);
+                self.adj.entry(b).or_default().insert(a);
+            }
+        }
     }
 
     /// The weight of edge `{a, b}`, or 0 if absent.

@@ -15,11 +15,11 @@ use crate::{PairDb, PopularSet, PopularitySelector, QSet, WeightedGraph};
 /// Exact integer edge tallies standing between the per-record hot path and
 /// a [`WeightedGraph`], kept as one small row per focal block.
 ///
-/// `WeightedGraph::add_weight` costs a `BTreeMap` update plus two
-/// `BTreeSet` adjacency inserts; paying that per trace event dominates
-/// profiling wall time. Each event instead bumps `rows[a][b]` — a directed
-/// count in the focal block `a`'s own table — and
-/// [`into_graph`](EdgeAcc::into_graph) symmetrizes once per profile:
+/// `WeightedGraph::add_weight` costs a `BTreeMap` update (plus two
+/// `BTreeSet` adjacency inserts for a new edge); paying that per trace
+/// event dominates profiling wall time. Each event instead bumps
+/// `rows[a][b]` — a directed count in the focal block `a`'s own table —
+/// and [`add_to`](EdgeAcc::add_to) symmetrizes once per profile:
 /// `w{a, b} = rows[a][b] + rows[b][a]`, added to the graph once per edge.
 /// The result is bit-identical to per-event `add_weight(a, b, 1.0)` calls:
 /// integer counts below 2^53 convert to `f64` exactly.
@@ -88,13 +88,18 @@ impl EdgeAcc {
         Some(n + wrapped)
     }
 
-    /// Symmetrizes the rows into a graph, adding each edge exactly once:
+    /// Symmetrizes the rows into `graph`, adding each edge exactly once:
     /// from the smaller endpoint's row, or from the larger's when the
-    /// smaller endpoint's row lacks it.
+    /// smaller endpoint's row lacks it. Returns the number of edges added.
+    ///
+    /// Adding each edge once with its whole count is what
+    /// [`WeightedGraph::merge_from`] does with a graph built from the same
+    /// rows, so folding into a non-empty graph is bit-identical to
+    /// building the graph and merging it.
     #[allow(clippy::cast_possible_truncation)] // row indices are u32 ids
     #[allow(clippy::cast_precision_loss)] // counts are far below 2^53
-    fn into_graph(self) -> WeightedGraph {
-        let mut graph = WeightedGraph::new();
+    fn add_to(&self, graph: &mut WeightedGraph) -> usize {
+        let mut edges = 0;
         for (a, row) in self.rows.iter().enumerate() {
             let a = a as u32;
             for &b in row.keys() {
@@ -107,9 +112,10 @@ impl EdgeAcc {
                     continue; // added from row `b`
                 };
                 graph.add_weight(a, b, w as f64);
+                edges += 1;
             }
         }
-        graph
+        edges
     }
 }
 
@@ -314,29 +320,46 @@ impl ProfileData {
     /// Fails without modifying `self` when the profiles disagree on cache
     /// geometry, popular membership, or pair-database presence.
     pub fn merge(&mut self, other: &ProfileData) -> Result<(), MergeError> {
-        if self.cache != other.cache {
-            return Err(MergeError::CacheMismatch);
-        }
-        if !self.popular.same_membership(&other.popular) {
-            return Err(MergeError::PopularMismatch);
-        }
-        if self.pair_db.is_some() != other.pair_db.is_some() {
-            return Err(MergeError::PairDbMismatch);
-        }
-        self.popular.merge_counts(&other.popular);
+        self.check_compatible(other.cache, &other.popular, other.pair_db.is_some())?;
         self.wcg.merge_from(&other.wcg);
         self.trg_select.merge_from(&other.trg_select);
         self.trg_place.merge_from(&other.trg_place);
-        if let (Some(db), Some(o)) = (self.pair_db.as_mut(), other.pair_db.as_ref()) {
-            db.merge_from(o);
-        }
-        self.q_stats.merge_from(&other.q_stats);
-        tempo_obs::counter("profile.merges").incr();
-        tempo_obs::counter("profile.merged_edges").add(
-            (other.wcg.edge_count() + other.trg_select.edge_count() + other.trg_place.edge_count())
-                as u64,
+        self.merge_tallies(&other.popular, other.pair_db.as_ref(), &other.q_stats);
+        note_merge(
+            other.wcg.edge_count() + other.trg_select.edge_count() + other.trg_place.edge_count(),
         );
         Ok(())
+    }
+
+    /// Whether a profile gathered for `cache`, over `popular`'s
+    /// membership, with or without a pair database, can be merged into
+    /// (or retired from) this one.
+    fn check_compatible(
+        &self,
+        cache: CacheConfig,
+        popular: &PopularSet,
+        pair_db: bool,
+    ) -> Result<(), MergeError> {
+        if self.cache != cache {
+            return Err(MergeError::CacheMismatch);
+        }
+        if !self.popular.same_membership(popular) {
+            return Err(MergeError::PopularMismatch);
+        }
+        if self.pair_db.is_some() != pair_db {
+            return Err(MergeError::PairDbMismatch);
+        }
+        Ok(())
+    }
+
+    /// The non-graph half of a merge: reference counts, pair-database
+    /// associations and Q-occupancy accumulators.
+    fn merge_tallies(&mut self, popular: &PopularSet, pair_db: Option<&PairDb>, q_stats: &QStats) {
+        self.popular.merge_counts(popular);
+        if let (Some(db), Some(o)) = (self.pair_db.as_mut(), pair_db) {
+            db.merge_from(o);
+        }
+        self.q_stats.merge_from(q_stats);
     }
 
     /// Ages the profile by multiplying every accumulated quantity by
@@ -399,15 +422,7 @@ impl ProfileData {
     /// Fails without modifying `self` under the same compatibility rules
     /// as [`merge`](ProfileData::merge).
     pub fn retire_epoch(&mut self, epoch: &ProfileData) -> Result<(), MergeError> {
-        if self.cache != epoch.cache {
-            return Err(MergeError::CacheMismatch);
-        }
-        if !self.popular.same_membership(&epoch.popular) {
-            return Err(MergeError::PopularMismatch);
-        }
-        if self.pair_db.is_some() != epoch.pair_db.is_some() {
-            return Err(MergeError::PairDbMismatch);
-        }
+        self.check_compatible(epoch.cache, &epoch.popular, epoch.pair_db.is_some())?;
         self.popular.retire_counts(&epoch.popular);
         self.wcg.subtract_from(&epoch.wcg);
         self.trg_select.subtract_from(&epoch.trg_select);
@@ -448,6 +463,12 @@ impl fmt::Debug for ProfileData {
             .field("q_stats", &self.q_stats)
             .finish()
     }
+}
+
+/// Reports one merge of a profile carrying `edges` graph edges.
+fn note_merge(edges: usize) {
+    tempo_obs::counter("profile.merges").incr();
+    tempo_obs::counter("profile.merged_edges").add(edges as u64);
 }
 
 /// Builder/driver for profile construction.
@@ -577,19 +598,14 @@ impl<'p> Profiler<'p> {
     /// Panics if no popular set was supplied.
     pub fn profile_source<S: TraceSource>(
         self,
-        mut source: S,
+        source: S,
     ) -> Result<(ProfileData, ProfileWarnings), TraceIoError> {
         let popular = self
             .popular
             .clone()
             .expect("profile_source requires with_popular (see PopularitySelector::select_source)");
         let mut stream = self.into_stream(popular);
-        let mut pulled = 0u64;
-        while let Some(record) = source.try_next()? {
-            stream.observe(&record);
-            pulled += 1;
-        }
-        tempo_trace::obs::note_read(pulled, &source.warnings());
+        stream.consume(source)?;
         Ok(stream.finish_with_warnings())
     }
 
@@ -757,15 +773,19 @@ impl ProfileStream<'_> {
         self.evict_base_chunk = self.q_chunk.evictions();
     }
 
-    /// Consumes an entire source, observing every record.
+    /// Consumes an entire source, observing every record, and reports the
+    /// read pass (`trace.records_read` and the source's defect tallies).
     ///
     /// # Errors
     ///
     /// Propagates the first error the source reports.
     pub fn consume<S: TraceSource>(&mut self, mut source: S) -> Result<(), TraceIoError> {
+        let mut pulled = 0u64;
         while let Some(record) = source.try_next()? {
             self.observe(&record);
+            pulled += 1;
         }
+        tempo_trace::obs::note_read(pulled, &source.warnings());
         Ok(())
     }
 
@@ -795,24 +815,13 @@ impl ProfileStream<'_> {
         // Insertion order cannot influence a BTree-backed graph's content,
         // and the integer counts sum exactly, so the graphs are identical
         // to per-event `add_weight` calls.
-        let wcg = self.wcg_acc.into_graph();
-        let trg_select = self.select_acc.into_graph();
-        let trg_place = self.place_acc.into_graph();
-        tempo_obs::counter("profile.records").add(self.records);
-        tempo_obs::counter("profile.qset_proc_evictions")
-            .add(self.q_proc.evictions() - self.evict_base_proc);
-        tempo_obs::counter("profile.qset_chunk_evictions")
-            .add(self.q_chunk.evictions() - self.evict_base_chunk);
-        tempo_obs::counter("profile.wcg_edges").add(wcg.edge_count() as u64);
-        tempo_obs::counter("profile.trg_select_edges").add(trg_select.edge_count() as u64);
-        tempo_obs::counter("profile.trg_place_edges").add(trg_place.edge_count() as u64);
-        let dropped = self.warnings.unknown_proc + self.warnings.zero_extent;
-        if dropped > 0 {
-            tempo_obs::counter("profile.records_dropped").add(dropped);
-        }
-        if self.warnings.clamped_extent > 0 {
-            tempo_obs::counter("profile.records_clamped").add(self.warnings.clamped_extent);
-        }
+        let (mut wcg, mut trg_select, mut trg_place) = Default::default();
+        self.note_pass([
+            self.wcg_acc.add_to(&mut wcg),
+            self.select_acc.add_to(&mut trg_select),
+            self.place_acc.add_to(&mut trg_place),
+        ]);
+        let q_stats = self.q_stats();
         ProfileData {
             cache: self.cache,
             popular: self.popular,
@@ -820,12 +829,60 @@ impl ProfileStream<'_> {
             trg_select,
             trg_place,
             pair_db: self.pair_db,
-            q_stats: QStats {
-                average: self.q_proc.average_occupancy(),
-                max: self.q_proc.max_occupancy(),
-                occupancy_sum: self.q_proc.occupancy_sum(),
-                samples: self.q_proc.occupancy_samples(),
-            },
+            q_stats,
+        }
+    }
+
+    /// Folds the stream's tallies straight into `window`: the result, and
+    /// every counter reported, equal [`finish`](ProfileStream::finish)
+    /// followed by [`window.merge`](ProfileData::merge), but no graph of
+    /// the stream's own is built. This is the epoch step of a profile
+    /// window (DESIGN.md §15).
+    ///
+    /// # Errors
+    ///
+    /// Fails without modifying `window` under the same compatibility rules
+    /// as [`merge`](ProfileData::merge).
+    pub fn fold_into(self, window: &mut ProfileData) -> Result<(), MergeError> {
+        window.check_compatible(self.cache, &self.popular, self.pair_db.is_some())?;
+        let edges = [
+            self.wcg_acc.add_to(&mut window.wcg),
+            self.select_acc.add_to(&mut window.trg_select),
+            self.place_acc.add_to(&mut window.trg_place),
+        ];
+        self.note_pass(edges);
+        window.merge_tallies(&self.popular, self.pair_db.as_ref(), &self.q_stats());
+        note_merge(edges.iter().sum());
+        Ok(())
+    }
+
+    /// Occupancy statistics of the procedure-grain Q-set so far.
+    fn q_stats(&self) -> QStats {
+        QStats {
+            average: self.q_proc.average_occupancy(),
+            max: self.q_proc.max_occupancy(),
+            occupancy_sum: self.q_proc.occupancy_sum(),
+            samples: self.q_proc.occupancy_samples(),
+        }
+    }
+
+    /// Reports the pass to the global [`tempo_obs`] registry, given the
+    /// edge counts of its WCG, `TRG_select` and `TRG_place`.
+    fn note_pass(&self, [wcg, trg_select, trg_place]: [usize; 3]) {
+        tempo_obs::counter("profile.records").add(self.records);
+        tempo_obs::counter("profile.qset_proc_evictions")
+            .add(self.q_proc.evictions() - self.evict_base_proc);
+        tempo_obs::counter("profile.qset_chunk_evictions")
+            .add(self.q_chunk.evictions() - self.evict_base_chunk);
+        tempo_obs::counter("profile.wcg_edges").add(wcg as u64);
+        tempo_obs::counter("profile.trg_select_edges").add(trg_select as u64);
+        tempo_obs::counter("profile.trg_place_edges").add(trg_place as u64);
+        let dropped = self.warnings.unknown_proc + self.warnings.zero_extent;
+        if dropped > 0 {
+            tempo_obs::counter("profile.records_dropped").add(dropped);
+        }
+        if self.warnings.clamped_extent > 0 {
+            tempo_obs::counter("profile.records_clamped").add(self.warnings.clamped_extent);
         }
     }
 }
@@ -890,7 +947,8 @@ mod tests {
         acc.row(4).bump(1);
         acc.row(7).bump(2); // {2, 7} seen only from the larger end
         acc.row(0).bump(9); // {0, 9} seen only from the smaller end
-        let g = acc.into_graph();
+        let mut g = WeightedGraph::new();
+        assert_eq!(acc.add_to(&mut g), 3);
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.weight(1, 4), 3.0);
         assert_eq!(g.weight(2, 7), 1.0);
@@ -907,7 +965,8 @@ mod tests {
         acc.row(3).bump(5); // wraps to 0, carrying 2^32
         acc.row(3).bump(5);
         acc.row(5).bump(3);
-        let g = acc.into_graph();
+        let mut g = WeightedGraph::new();
+        acc.add_to(&mut g);
         assert_eq!(g.weight(3, 5), (1u64 << 32) as f64 + 2.0);
     }
 

@@ -1045,3 +1045,248 @@ proptest! {
         prop_assert_eq!(recovered.len(), trace.len());
     }
 }
+
+// ---------------------------------------------------------------------
+// Exactness of the epoch fast paths
+// ---------------------------------------------------------------------
+
+/// The per-line table form of `tempo::analyze::miss_bounds`: one map
+/// entry per touched memory line, then one grouping by cache set. Kept
+/// as the reference the sweep-line implementation must equal.
+mod line_table {
+    use std::collections::BTreeMap;
+
+    use tempo::analyze::MissBounds;
+    use tempo::prelude::*;
+    use tempo::trg::{PopularSet, WeightedGraph};
+
+    fn line_access_bounds(
+        program: &Program,
+        layout: &Layout,
+        cache: CacheConfig,
+        popular: &PopularSet,
+    ) -> BTreeMap<u64, u64> {
+        let mut acc: BTreeMap<u64, u64> = BTreeMap::new();
+        for id in program.ids() {
+            if id.as_usize() >= layout.len() {
+                continue;
+            }
+            let count = popular.count_of(id);
+            if count == 0 {
+                continue;
+            }
+            let addr = layout.addr(id);
+            let size = u64::from(program.size_of(id));
+            if size == 0 {
+                continue;
+            }
+            let first = cache.line_of_addr(addr);
+            let last = cache.line_of_addr(addr + size - 1);
+            for line in first..=last {
+                *acc.entry(line).or_insert(0) += count;
+            }
+        }
+        acc
+    }
+
+    pub fn miss_bounds(
+        program: &Program,
+        layout: &Layout,
+        cache: CacheConfig,
+        popular: &PopularSet,
+        trg_select: Option<&WeightedGraph>,
+    ) -> MissBounds {
+        let acc = line_access_bounds(program, layout, cache, popular);
+        let touched_lines = acc.len() as u64;
+        let capacity_free = touched_lines <= u64::from(cache.lines());
+        let assoc = u64::from(cache.associativity());
+        let mut sets: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+        for (&line, &a) in &acc {
+            sets.entry(cache.set_of_line(line)).or_default().push(a);
+        }
+        let mut hi = 0u64;
+        let mut contested_sets = 0u32;
+        for lines in sets.values() {
+            if lines.len() < 2 {
+                continue;
+            }
+            contested_sets += 1;
+            let total: u64 = lines.iter().sum();
+            for &a in lines {
+                hi += a.saturating_sub(1).min((total - a) / assoc);
+            }
+        }
+        let forced = match trg_select {
+            Some(trg) if cache.is_direct_mapped() => {
+                forced_misses(program, layout, cache, popular, trg, &acc)
+            }
+            _ => 0,
+        };
+        let lo = if capacity_free { forced } else { 0 };
+        MissBounds {
+            lo,
+            hi,
+            forced,
+            capacity_free,
+            touched_lines,
+            contested_sets,
+        }
+    }
+
+    #[allow(clippy::cast_sign_loss)]
+    fn forced_misses(
+        program: &Program,
+        layout: &Layout,
+        cache: CacheConfig,
+        popular: &PopularSet,
+        trg: &WeightedGraph,
+        acc: &BTreeMap<u64, u64>,
+    ) -> u64 {
+        let witness = |id: ProcId| -> Option<u64> {
+            if id.as_usize() >= layout.len() || program.size_of(id) == 0 {
+                return None;
+            }
+            Some(cache.line_of_addr(layout.addr(id)))
+        };
+        let spoil = |id: ProcId, w: u64| -> u64 {
+            acc.get(&w)
+                .copied()
+                .unwrap_or(0)
+                .saturating_sub(popular.count_of(id))
+        };
+        let nprocs = program.len() as u32;
+        let mut candidates: Vec<(u64, u32, u32)> = Vec::new();
+        for e in trg.edges() {
+            if e.a >= nprocs || e.b >= nprocs || e.w < 1.0 {
+                continue;
+            }
+            let (pa, pb) = (ProcId::new(e.a), ProcId::new(e.b));
+            let (Some(wa), Some(wb)) = (witness(pa), witness(pb)) else {
+                continue;
+            };
+            if wa == wb || cache.set_of_line(wa) != cache.set_of_line(wb) {
+                continue;
+            }
+            let events = e.w.floor() as u64;
+            let value = events.saturating_sub(spoil(pa, wa) + spoil(pb, wb));
+            if value > 0 {
+                candidates.push((value, e.a, e.b));
+            }
+        }
+        candidates.sort_by_key(|&(value, a, b)| (std::cmp::Reverse(value), a, b));
+        let mut used = vec![false; nprocs as usize];
+        let mut forced = 0u64;
+        for (value, a, b) in candidates {
+            if used[a as usize] || used[b as usize] {
+                continue;
+            }
+            used[a as usize] = true;
+            used[b as usize] = true;
+            forced += value;
+        }
+        forced
+    }
+}
+
+/// Serializes a profile, the form the fold's bit-identity is stated in.
+fn profile_text(profile: &ProfileData) -> String {
+    let mut out = Vec::new();
+    tempo::trg::io::write_profile(&mut out, profile).unwrap();
+    String::from_utf8(out).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The sweep-line `miss_bounds` equals the per-line table on all six
+    /// fields: partial layouts (fewer addresses than procedures),
+    /// overlapping and line-sharing extents, extents far apart and longer
+    /// than the cache, zero counts, sub-unit TRG weights, and edges naming
+    /// procedures the program lacks, at associativity 1, 2 and 4.
+    /// (`Program` rejects zero-size procedures, so the size-0 guard is
+    /// unreachable here.)
+    #[test]
+    fn miss_bounds_equal_the_line_table_reference(
+        sizes in prop::collection::vec(1u32..3000, 1..24),
+        slots in prop::collection::vec((0u64..96, 0u64..32, 0u32..8), 0..28),
+        counts in prop::collection::vec((0u32..4, 0u64..1000), 24..25),
+        edges in prop::collection::vec((0u32..26, 0u32..26, 0.0f64..40.0), 0..40),
+        assoc_shift in 0u32..3,
+        size_shift in 0u32..3,
+        line_shift in 0u32..2,
+    ) {
+        let mut b = Program::builder();
+        for (i, s) in sizes.iter().enumerate() {
+            b.procedure(format!("p{i}"), *s);
+        }
+        let program = b.build().unwrap();
+        let cache =
+            CacheConfig::new(1024 << size_shift, 16 << line_shift, 1 << assoc_shift).unwrap();
+        // Addresses cluster on a few dozen lines (so extents overlap and
+        // share lines) with an occasional far-away outlier.
+        let layout = Layout::from_addresses(
+            slots
+                .iter()
+                .map(|&(line, offset, far)| {
+                    line * 16 + offset + if far == 0 { 1 << 20 } else { 0 }
+                })
+                .collect(),
+        );
+        let counts: Vec<u64> = counts[..program.len()]
+            .iter()
+            .map(|&(kind, n)| if kind == 0 { 0 } else { n })
+            .collect();
+        let popular = PopularSet::from_parts(vec![true; program.len()], counts);
+        let trg: WeightedGraph = edges.into_iter().filter(|&(a, b, _)| a != b).collect();
+        for select in [Some(&trg), None] {
+            let fast = tempo::analyze::miss_bounds(&program, &layout, cache, &popular, select);
+            let reference = line_table::miss_bounds(&program, &layout, cache, &popular, select);
+            prop_assert_eq!(fast, reference);
+        }
+    }
+
+    /// Folding an epoch's stream into the window is bit-identical, as a
+    /// serialized profile, to `finish()` followed by `merge()`, over
+    /// random epoch sequences, decay factors and pair-DB settings.
+    #[test]
+    fn stream_fold_equals_finish_then_merge(
+        (program, trace) in program_and_trace(),
+        cuts in prop::collection::vec(0.0f64..1.0, 0..6),
+        lambda in 0usize..3,
+        pair_db in any::<bool>(),
+    ) {
+        let lambda = [1.0, 0.5, 0.3][lambda];
+        let cache = CacheConfig::new(1024, 32, 2).unwrap();
+        let records = trace.records();
+        let mut bounds: Vec<usize> =
+            cuts.iter().map(|f| (f * records.len() as f64) as usize).collect();
+        bounds.extend([0, records.len()]);
+        bounds.sort_unstable();
+        let epochs: Vec<Trace> = bounds
+            .windows(2)
+            .map(|w| Trace::from_records(records[w[0]..w[1]].to_vec()))
+            .collect();
+
+        let first = Profiler::new(&program, cache)
+            .popularity(PopularitySelector::coverage(0.8))
+            .with_pair_db(pair_db)
+            .profile(&epochs[0]);
+        let pinned: Vec<bool> = program.ids().map(|id| first.popular.is_popular(id)).collect();
+        let (mut merged, mut folded) = (first.clone(), first);
+        for epoch in &epochs[1..] {
+            let popular = PopularSet::from_parts(pinned.clone(), epoch.reference_counts(&program));
+            let profiler = || Profiler::new(&program, cache).with_pair_db(pair_db);
+
+            let profile = profiler().with_popular(popular.clone()).profile(epoch);
+            merged.decay(lambda);
+            merged.merge(&profile).unwrap();
+
+            let mut stream = profiler().into_stream(popular);
+            stream.consume(MemorySource::new(epoch)).unwrap();
+            folded.decay(lambda);
+            stream.fold_into(&mut folded).unwrap();
+
+            prop_assert_eq!(profile_text(&folded), profile_text(&merged));
+        }
+    }
+}
