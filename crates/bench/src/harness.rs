@@ -9,7 +9,7 @@
 //! or the filesystem; that indirection is what makes the same experiment
 //! runnable two ways with byte-identical output:
 //!
-//! * through `tempo-bench run-all` / `tempo-cli bench` ([`run_all`]),
+//! * through `tempo-bench run-all` ([`run_all`]),
 //!   alone with `--only <name>`,
 //! * from tests against temp dirs (determinism suite).
 //!
@@ -270,8 +270,7 @@ pub struct ExperimentSpec {
     pub run: fn(&mut Ctx) -> Result<(), ExperimentError>,
 }
 
-/// Every experiment, in the order `run-all` executes them (the historical
-/// `scripts/run_all_experiments.sh` order).
+/// Every experiment, in the order `run-all` executes them.
 pub const REGISTRY: &[ExperimentSpec] = &[
     ExperimentSpec {
         name: "table1",

@@ -66,7 +66,8 @@ pub fn checked_place(
     session: &tempo::ProfiledSession<'_>,
     algorithm: &dyn tempo::place::PlacementAlgorithm,
 ) -> tempo::program::Layout {
-    let (layout, report) = session.place_checked(algorithm);
+    let layout = session.place(algorithm);
+    let report = session.check(&layout);
     assert!(
         report.error_count() == 0,
         "{} produced a layout failing static analysis:\n{}",

@@ -463,6 +463,11 @@ pub fn profile(args: &ArgMap) -> Result<(), CliError> {
     let coverage: f64 = args.get_or("coverage", 0.995)?;
     let pair_db = args.switch("pair-db");
     let out = args.require("out")?.to_string();
+    if !(0.0..=1.0).contains(&coverage) {
+        return Err(CliError::Usage(format!(
+            "--coverage must be within [0, 1], got {coverage}"
+        )));
+    }
     let selector = PopularitySelector::coverage(coverage).with_min_count(2);
 
     let span = tempo_obs::span("stage.profile");
@@ -619,15 +624,8 @@ pub fn engine(args: &ArgMap) -> Result<(), CliError> {
     let out = args.require("out")?.to_string();
     let epochs_out = args.get("epochs-out").map(str::to_string);
     args.finish()?;
-
-    if !(decay.is_finite() && decay > 0.0 && decay <= 1.0) {
-        return Err(CliError::Usage(format!(
-            "--decay must be within (0, 1], got {decay}"
-        )));
-    }
-    if epoch_records == 0 {
-        return Err(CliError::Usage("--epoch-records must be positive".into()));
-    }
+    tempo::check_engine_settings(coverage, epoch_records, decay, replace_threshold)
+        .map_err(CliError::Usage)?;
 
     let mut config = tempo::EngineConfig::new(cache);
     config.selector = PopularitySelector::coverage(coverage).with_min_count(2);
@@ -965,9 +963,12 @@ pub fn analyze(args: &ArgMap) -> Result<(), CliError> {
 pub fn trace_stats(args: &ArgMap) -> Result<(), CliError> {
     let program = load_program(args)?;
     let mode = trace_read_mode(args)?;
-    let trace = load_trace(args, "trace", &program, mode)?;
     let cache = args.cache()?;
     let window: usize = args.get_or("window", 2_000)?;
+    if window == 0 {
+        return Err(CliError::Usage("--window must be positive".to_string()));
+    }
+    let trace = load_trace(args, "trace", &program, mode)?;
     args.finish()?;
 
     let c = u64::from(cache.size());
@@ -1027,67 +1028,6 @@ pub fn compare(args: &ArgMap) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `bench`: run the experiment suite through the shared tempo-bench
-/// harness (the same driver as `tempo-bench run-all`).
-pub fn bench(args: &ArgMap) -> Result<(), CliError> {
-    use tempo_bench::harness::{self, RunAllOpts};
-
-    let mut opts = RunAllOpts {
-        verbose: !args.switch("quiet"),
-        ..RunAllOpts::default()
-    };
-    if let Some(records) = args.get_parsed::<usize>("records")? {
-        opts.records = Some(records);
-    }
-    if let Some(runs) = args.get_parsed::<usize>("runs")? {
-        opts.runs = Some(runs);
-    }
-    if let Some(jobs) = args.get_parsed::<usize>("jobs")? {
-        opts.jobs = jobs;
-    }
-    if let Some(seed) = args.get_parsed::<u64>("seed")? {
-        opts.seed = seed;
-    }
-    if let Some(dir) = args.get("out-dir") {
-        opts.out_dir = dir.into();
-    }
-    if let Some(path) = args.get("bench-json") {
-        opts.bench_json = Some(path.into());
-    }
-    if args.switch("no-bench-json") {
-        opts.bench_json = None;
-    }
-    if let Some(only) = args.get("only") {
-        opts.only = Some(only.split(',').map(|s| s.trim().to_string()).collect());
-    }
-    opts.prefilter = args.switch("prefilter");
-    args.finish()?;
-
-    let report = match harness::run_all(&opts) {
-        Ok(report) => report,
-        Err(harness::HarnessError::UnknownExperiment(name)) => {
-            return Err(CliError::Usage(format!(
-                "unknown experiment `{name}` (see `tempo-bench list`)"
-            )));
-        }
-        Err(harness::HarnessError::Io(e)) => return Err(CliError::Io(e)),
-    };
-    let failed: Vec<&str> = report
-        .experiments
-        .iter()
-        .filter(|e| !e.ok)
-        .map(|e| e.name.as_str())
-        .collect();
-    if failed.is_empty() {
-        Ok(())
-    } else {
-        Err(CliError::Inconsistent(format!(
-            "experiments failed: {}",
-            failed.join(", ")
-        )))
-    }
-}
-
 /// `daemon`: run tempod, the multi-tenant placement server, until a
 /// client sends `shutdown`.
 pub fn daemon(args: &ArgMap) -> Result<(), CliError> {
@@ -1114,15 +1054,13 @@ pub fn daemon(args: &ArgMap) -> Result<(), CliError> {
         config.budget.deadline = Some(std::time::Duration::from_millis(ms));
     }
     args.finish()?;
-    if !(config.decay.is_finite() && config.decay > 0.0 && config.decay <= 1.0) {
-        return Err(CliError::Usage(format!(
-            "--decay must be within (0, 1], got {}",
-            config.decay
-        )));
-    }
-    if config.epoch_records == 0 {
-        return Err(CliError::Usage("--epoch-records must be positive".into()));
-    }
+    tempo::check_engine_settings(
+        config.coverage,
+        config.epoch_records,
+        config.decay,
+        config.replace_threshold,
+    )
+    .map_err(CliError::Usage)?;
     match (socket, tcp) {
         (Some(path), None) => {
             let server = Server::bind_unix(&path, config)?;

@@ -62,7 +62,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         "analyze" => commands::analyze(&parsed),
         "trace-stats" => commands::trace_stats(&parsed),
         "compare" => commands::compare(&parsed),
-        "bench" => commands::bench(&parsed),
         "stats" => commands::stats(&parsed),
         "daemon" => commands::daemon(&parsed),
         "client" => commands::client(&parsed),
@@ -148,13 +147,6 @@ commands:
   compare   --program FILE --train FILE --test FILE
             [--cache SIZExLINExASSOC] [--lossy|--strict]
       profile on train, place with every algorithm, evaluate on test
-  bench     [--records N] [--runs N] [--jobs N] [--seed N] [--out-dir DIR]
-            [--bench-json PATH] [--no-bench-json] [--only NAMES] [--quiet]
-            [--prefilter]
-      run the paper's experiment suite in parallel (same driver as
-      `tempo-bench run-all`); writes results/ and BENCH_run.json;
-      --prefilter screens candidate layouts with the static miss-bound
-      analyzer before simulating (experiments that support it)
   stats     --metrics FILE
       render a --metrics-out JSON snapshot as the aligned text summary
   daemon    (--socket PATH | --tcp ADDR) [--algorithm NAME]

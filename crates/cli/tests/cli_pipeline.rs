@@ -467,6 +467,65 @@ fn gbsc_sa_without_its_inputs_is_a_usage_error() {
 }
 
 #[test]
+fn out_of_range_numeric_flags_are_usage_errors() {
+    let dir = workdir("ranges");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (prog, train, out, sock) = (p("prog"), p("train"), p("out"), p("tempod.sock"));
+    run(&cmd(&[
+        "generate",
+        "--bench",
+        "perl",
+        "--records",
+        "4000",
+        "--program",
+        &prog,
+        "--trace",
+        &train,
+    ]))
+    .expect("generate");
+    for (command, flag, value) in [
+        ("profile", "--coverage", "2"),
+        ("profile", "--coverage", "-1"),
+        ("profile", "--coverage", "nan"),
+        ("engine", "--coverage", "2"),
+        ("engine", "--coverage", "-1"),
+        ("engine", "--coverage", "nan"),
+        ("engine", "--replace-threshold", "nan"),
+        ("daemon", "--coverage", "2"),
+        ("daemon", "--coverage", "-1"),
+        ("daemon", "--coverage", "nan"),
+        ("daemon", "--replace-threshold", "nan"),
+        ("trace-stats", "--window", "0"),
+    ] {
+        let mut args = match command {
+            "profile" | "engine" => {
+                vec![
+                    command,
+                    "--program",
+                    &prog,
+                    "--trace",
+                    &train,
+                    "--out",
+                    &out,
+                ]
+            }
+            "daemon" => vec![command, "--socket", &sock],
+            _ => vec![command, "--program", &prog, "--trace", &train],
+        };
+        args.extend([flag, value]);
+        match run(&cmd(&args)) {
+            Err(tempo_cli::CliError::Usage(message)) => {
+                assert!(message.contains(flag), "{args:?}: {message}");
+            }
+            other => panic!("expected a usage error from {args:?}, got {other:?}"),
+        }
+    }
+    // The daemon refused at startup, before binding its socket.
+    assert!(!std::path::Path::new(&sock).exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn usage_errors_are_reported() {
     assert!(run(&[]).is_err());
     assert!(run(&cmd(&["frobnicate"])).is_err());

@@ -111,6 +111,37 @@ impl EngineConfig {
     }
 }
 
+/// Checks the engine's numeric settings, spelled as the `engine` and
+/// `daemon` commands take them: popularity `coverage` within `[0, 1]`, a
+/// positive `epoch_records`, `decay` within `(0, 1]`, and a
+/// `replace_threshold` that is a number. `±∞` thresholds are legal (`-∞`
+/// places and adopts every epoch, `+∞` never replaces); NaN is not, as it
+/// would make both the drift check and the adoption test false.
+///
+/// # Errors
+///
+/// Names the first setting out of range, by its command-line flag.
+pub fn check_engine_settings(
+    coverage: f64,
+    epoch_records: u64,
+    decay: f64,
+    replace_threshold: f64,
+) -> Result<(), String> {
+    if !(0.0..=1.0).contains(&coverage) {
+        return Err(format!("--coverage must be within [0, 1], got {coverage}"));
+    }
+    if epoch_records == 0 {
+        return Err("--epoch-records must be positive".to_string());
+    }
+    if !(decay > 0.0 && decay <= 1.0) {
+        return Err(format!("--decay must be within (0, 1], got {decay}"));
+    }
+    if replace_threshold.is_nan() {
+        return Err("--replace-threshold must be a number, got NaN".to_string());
+    }
+    Ok(())
+}
+
 /// What one epoch did to the engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochReport {
@@ -172,16 +203,23 @@ pub struct Engine<'p> {
 
 impl<'p> Engine<'p> {
     /// Creates an engine with no window and no incumbent layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config fails [`check_engine_settings`].
     pub fn new(
         program: &'p Program,
         algorithm: &'p dyn PlacementAlgorithm,
         config: EngineConfig,
     ) -> Self {
-        assert!(
-            config.decay.is_finite() && config.decay > 0.0 && config.decay <= 1.0,
-            "decay must be within (0, 1]"
-        );
-        assert!(config.epoch_records > 0, "epochs must hold records");
+        if let Err(e) = check_engine_settings(
+            config.selector.coverage_target(),
+            config.epoch_records,
+            config.decay,
+            config.replace_threshold,
+        ) {
+            panic!("{e}");
+        }
         Engine {
             program,
             algorithm,
@@ -670,6 +708,30 @@ mod tests {
             let r = engine.observe_epoch(&t);
             assert!(r.replaced);
         }
+    }
+
+    #[test]
+    fn settings_are_range_checked_and_nan_threshold_is_refused() {
+        assert!(check_engine_settings(0.995, 1, 1.0, f64::NEG_INFINITY).is_ok());
+        assert!(check_engine_settings(0.0, 1, 0.5, f64::INFINITY).is_ok());
+        for (coverage, epoch_records, decay, threshold, flag) in [
+            (1.5, 1, 1.0, 0.02, "--coverage"),
+            (-0.1, 1, 1.0, 0.02, "--coverage"),
+            (f64::NAN, 1, 1.0, 0.02, "--coverage"),
+            (0.995, 0, 1.0, 0.02, "--epoch-records"),
+            (0.995, 1, 0.0, 0.02, "--decay"),
+            (0.995, 1, f64::NAN, 0.02, "--decay"),
+            (0.995, 1, 1.0, f64::NAN, "--replace-threshold"),
+        ] {
+            let err = check_engine_settings(coverage, epoch_records, decay, threshold).unwrap_err();
+            assert!(err.starts_with(flag), "{err}");
+        }
+        let p = program();
+        let algorithm = Gbsc::new();
+        let mut cfg = config();
+        cfg.replace_threshold = f64::NAN;
+        let built = std::panic::catch_unwind(|| Engine::new(&p, &algorithm, cfg).epochs());
+        assert!(built.is_err(), "Engine::new accepted a NaN threshold");
     }
 
     #[test]

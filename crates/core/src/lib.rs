@@ -67,7 +67,9 @@ mod session;
 mod shard;
 
 pub use compare::{compare, Comparison, ComparisonRow};
-pub use engine::{plan_epochs, Engine, EngineConfig, EpochReport, MAX_EPOCH_RECORDS};
+pub use engine::{
+    check_engine_settings, plan_epochs, Engine, EngineConfig, EpochReport, MAX_EPOCH_RECORDS,
+};
 pub use session::{ProfiledSession, Session};
 pub use shard::{
     plan_shards, profile_sharded, ShardConfig, ShardError, ShardFaultHook, ShardOutcome,

@@ -43,64 +43,21 @@ impl<'p> Session<'p> {
         self
     }
 
-    /// Profiles a training trace.
+    /// Profiles a training trace. Defective records (unknown procedures,
+    /// zero or oversized extents) are tolerated, not fatal; to see how
+    /// many were repaired or dropped, profile through
+    /// [`profile_with`](Session::profile_with) over a
+    /// [`MemorySource`].
     pub fn profile(self, trace: &Trace) -> ProfiledSession<'p> {
-        self.profile_lossy(trace).0
-    }
-
-    /// Profiles a training trace that may contain defective records,
-    /// also reporting how many were repaired or dropped.
-    ///
-    /// This is the entry point for traces read with
-    /// [`read_binary_lossy`](tempo_trace::io::read_binary_lossy): the
-    /// profiler tolerates unknown procedures, zero extents, and oversized
-    /// extents instead of panicking.
-    pub fn profile_lossy(self, trace: &Trace) -> (ProfiledSession<'p>, ProfileWarnings) {
         let _span = tempo_obs::span("stage.profile");
-        let (profile, warnings) = Profiler::new(self.program, self.cache)
+        let profile = Profiler::new(self.program, self.cache)
             .popularity(self.selector)
             .with_pair_db(self.pair_db)
-            .profile_lossy(trace);
-        (
-            ProfiledSession {
-                program: self.program,
-                profile,
-            },
-            warnings,
-        )
-    }
-
-    /// Profiles a v2 trace **file** in supervised parallel shards with
-    /// checkpoint/resume — see [`crate::profile_sharded`] for the
-    /// supervision, exactness, and checkpoint contracts. With the default
-    /// full-prefix warm-up the result is bit-identical to
-    /// [`profile_with`](Session::profile_with) over the same trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::ShardError`]: scan/checkpoint failures, resume
-    /// mismatches, or quarantined shards breaching the coverage floor.
-    pub fn profile_sharded(
-        self,
-        trace_path: &std::path::Path,
-        config: &crate::ShardConfig,
-    ) -> Result<(ProfiledSession<'p>, crate::ShardReport), crate::ShardError> {
-        let (profile, report) = crate::profile_sharded(
-            self.program,
-            self.cache,
-            self.selector,
-            self.pair_db,
-            trace_path,
-            config,
-            None,
-        )?;
-        Ok((
-            ProfiledSession {
-                program: self.program,
-                profile,
-            },
-            report,
-        ))
+            .profile(trace);
+        ProfiledSession {
+            program: self.program,
+            profile,
+        }
     }
 
     /// Profiles a training stream in constant memory.
@@ -110,7 +67,7 @@ impl<'p> Session<'p> {
     /// supplies a factory that opens a *fresh* source over the same records
     /// for each pass (reopen a file, rewind a buffer, or rebuild a
     /// generator from its seed). Produces byte-identical [`ProfileData`] to
-    /// [`profile_lossy`](Session::profile_lossy) on the materialized trace.
+    /// [`profile`](Session::profile) on the materialized trace.
     ///
     /// # Errors
     ///
@@ -186,23 +143,6 @@ impl<'p> ProfiledSession<'p> {
         algorithm.place(&self.context())
     }
 
-    /// Runs a placement algorithm and lints the result with
-    /// [`tempo_analyze`], returning the layout together with the report.
-    ///
-    /// The report carries every structural finding plus the static
-    /// conflict prediction; callers decide how strict to be (the CLI and
-    /// the benches fail on error-severity diagnostics).
-    pub fn place_checked<A: PlacementAlgorithm + ?Sized>(
-        &self,
-        algorithm: &A,
-    ) -> (Layout, tempo_analyze::AnalysisReport) {
-        let layout = self.place(algorithm);
-        let input =
-            tempo_analyze::AnalysisInput::from_profile(self.program, &layout, &self.profile);
-        let report = tempo_analyze::Analyzer::new().analyze(&input);
-        (layout, report)
-    }
-
     /// Runs a placement algorithm under an execution budget, degrading
     /// through the fallback chain (requested → Pettis–Hansen → identity)
     /// when the budget trips.
@@ -218,19 +158,13 @@ impl<'p> ProfiledSession<'p> {
         place_with_fallback(self.program, &self.profile, algorithm, budget)
     }
 
-    /// Budgeted counterpart of [`place_checked`](ProfiledSession::place_checked):
-    /// places under `budget` with the fallback chain, then lints whatever
-    /// layout was produced.
-    pub fn place_checked_budgeted<A: PlacementAlgorithm + ?Sized>(
-        &self,
-        algorithm: &A,
-        budget: Budget,
-    ) -> (Layout, tempo_analyze::AnalysisReport, Degradation) {
-        let (layout, degradation) = self.place_budgeted(algorithm, budget);
-        let input =
-            tempo_analyze::AnalysisInput::from_profile(self.program, &layout, &self.profile);
-        let report = tempo_analyze::Analyzer::new().analyze(&input);
-        (layout, report, degradation)
+    /// Lints `layout` with [`tempo_analyze`] against this session's
+    /// profile: every structural finding plus the static conflict
+    /// prediction. Callers decide how strict to be (the benches fail on
+    /// error-severity diagnostics).
+    pub fn check(&self, layout: &Layout) -> tempo_analyze::AnalysisReport {
+        let input = tempo_analyze::AnalysisInput::from_profile(self.program, layout, &self.profile);
+        tempo_analyze::Analyzer::new().analyze(&input)
     }
 
     /// Simulates a layout against a trace on this session's cache.
@@ -392,7 +326,8 @@ mod tests {
         let session = Session::new(&program, CacheConfig::direct_mapped_8k())
             .popularity(PopularitySelector::all())
             .profile(&trace);
-        let (layout, report) = session.place_checked(&Gbsc::new());
+        let layout = session.place(&Gbsc::new());
+        let report = session.check(&layout);
         layout.validate(&program).unwrap();
         assert_eq!(report.error_count(), 0, "{}", report.render_text(&program));
         assert!(report.prediction().is_some());
@@ -435,7 +370,8 @@ mod tests {
         hostile.push(TraceRecord::new(ProcId::new(0), 0)); // zero extent
         let (session, warnings) = Session::new(&program, CacheConfig::direct_mapped_8k())
             .popularity(PopularitySelector::all())
-            .profile_lossy(&hostile);
+            .profile_with(|| Ok(MemorySource::new(&hostile)))
+            .unwrap();
         assert_eq!(warnings.unknown_proc, 1);
         assert_eq!(warnings.zero_extent, 1);
         let layout = session.place(&Gbsc::new());
@@ -449,8 +385,8 @@ mod tests {
         let session = Session::new(&program, CacheConfig::direct_mapped_8k())
             .popularity(PopularitySelector::all())
             .profile(&trace);
-        let (layout, report, d) =
-            session.place_checked_budgeted(&Gbsc::new(), Budget::work_units(1));
+        let (layout, d) = session.place_budgeted(&Gbsc::new(), Budget::work_units(1));
+        let report = session.check(&layout);
         layout.validate(&program).unwrap();
         assert_eq!(d.tier, DegradationTier::Identity);
         assert_eq!(layout, Layout::source_order(&program));
@@ -459,6 +395,41 @@ mod tests {
         let (full, d2) = session.place_budgeted(&Gbsc::new(), Budget::unlimited());
         assert!(!d2.is_degraded());
         assert_eq!(full, session.place(&Gbsc::new()));
+        // Every algorithm implements `try_place` alone: the provided
+        // `place`, a metered `try_place` and the unlimited fallback chain
+        // all give the same layout.
+        let two_way = Session::new(&program, CacheConfig::two_way_8k())
+            .popularity(PopularitySelector::all())
+            .with_pair_db(true)
+            .profile(&trace);
+        for name in [
+            "default",
+            "random",
+            "random:7",
+            "ph",
+            "hkc",
+            "gbsc",
+            "gbsc-sa",
+            "trg-chains",
+            "wcg-offsets",
+        ] {
+            let session = if name == "gbsc-sa" {
+                &two_way
+            } else {
+                &session
+            };
+            let algorithm = tempo_place::algorithm_for(name, session.cache(), name == "gbsc-sa")
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let placed = session.place(&algorithm);
+            let meter = tempo_place::BudgetMeter::unlimited();
+            let metered = algorithm
+                .try_place(&session.context().with_budget(&meter))
+                .unwrap();
+            let (fallback, d) = session.place_budgeted(&algorithm, Budget::unlimited());
+            assert!(!d.is_degraded(), "{name}");
+            assert_eq!(metered, placed, "{name}");
+            assert_eq!(fallback, placed, "{name}");
+        }
     }
 
     #[test]

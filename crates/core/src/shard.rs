@@ -721,10 +721,10 @@ fn read_manifest(dir: &Path) -> Result<Manifest, ShardError> {
 
 /// Profiles a v2 trace file in supervised shards and merges the results.
 ///
-/// This is the free-function core behind
-/// [`Session::profile_sharded`](crate::Session::profile_sharded); the
-/// `hook` parameter exists for fault-injection tests and should be `None`
-/// in production.
+/// With the default full-prefix warm-up the result is bit-identical to
+/// [`Session::profile_with`](crate::Session::profile_with) over the same
+/// trace. The `hook` parameter exists for fault-injection tests and
+/// should be `None` in production.
 ///
 /// # Errors
 ///

@@ -219,9 +219,9 @@ fn lossy_pipeline_places_cleanly_on_every_corrupted_trace() {
                 let (trace, _) =
                     tempo::trace::io::read_binary_lossy(corrupt.as_slice(), Some(&program))
                         .expect("lossy reads are total");
-                let (session, _) = Session::new(&program, CacheConfig::direct_mapped_8k())
+                let session = Session::new(&program, CacheConfig::direct_mapped_8k())
                     .popularity(PopularitySelector::all())
-                    .profile_lossy(&trace);
+                    .profile(&trace);
                 session.place(&Gbsc::new())
             }));
             let layout =
@@ -395,8 +395,8 @@ fn starved_budget_yields_analyzer_clean_identity_layout() {
     let session = Session::new(&program, CacheConfig::direct_mapped_8k())
         .popularity(PopularitySelector::all())
         .profile(&trace);
-    let (layout, report, degradation) =
-        session.place_checked_budgeted(&Gbsc::new(), Budget::work_units(1));
+    let (layout, degradation) = session.place_budgeted(&Gbsc::new(), Budget::work_units(1));
+    let report = session.check(&layout);
     assert_eq!(degradation.tier, DegradationTier::Identity);
     assert_eq!(degradation.ran, "default");
     assert!(degradation.is_degraded());
@@ -415,9 +415,9 @@ fn budgeted_placement_never_panics_even_on_recovered_traces() {
         let corrupt = class.inject(&bytes, 1);
         let (trace, _) = tempo::trace::io::read_binary_lossy(corrupt.as_slice(), Some(&program))
             .expect("lossy reads are total");
-        let (session, _) = Session::new(&program, CacheConfig::direct_mapped_8k())
+        let session = Session::new(&program, CacheConfig::direct_mapped_8k())
             .popularity(PopularitySelector::all())
-            .profile_lossy(&trace);
+            .profile(&trace);
         for budget in [
             Budget::work_units(1),
             Budget::work_units(50),

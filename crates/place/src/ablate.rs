@@ -23,7 +23,6 @@
 use tempo_program::Layout;
 
 use crate::budget::BudgetExhausted;
-use crate::context::unbudgeted;
 use crate::merge::popular_wcg;
 use crate::ph::chain_layout;
 use crate::{Gbsc, PlacementAlgorithm, PlacementContext};
@@ -44,10 +43,6 @@ impl TrgChains {
 impl PlacementAlgorithm for TrgChains {
     fn name(&self) -> &str {
         "TRG+chains"
-    }
-
-    fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-        unbudgeted(ctx, |ctx| self.try_place(ctx))
     }
 
     fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
@@ -74,10 +69,6 @@ impl WcgOffsets {
 impl PlacementAlgorithm for WcgOffsets {
     fn name(&self) -> &str {
         "WCG+offsets"
-    }
-
-    fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-        unbudgeted(ctx, |ctx| self.try_place(ctx))
     }
 
     fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {

@@ -5,6 +5,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tempo_program::{Layout, ProcId};
 
+use crate::budget::BudgetExhausted;
 use crate::{PlacementAlgorithm, PlacementContext};
 
 /// The compiler-default layout: procedures packed in source (id) order.
@@ -27,8 +28,8 @@ impl PlacementAlgorithm for SourceOrder {
         "default"
     }
 
-    fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-        Layout::source_order(ctx.program)
+    fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
+        Ok(Layout::source_order(ctx.program))
     }
 }
 
@@ -52,11 +53,11 @@ impl PlacementAlgorithm for RandomOrder {
         "random"
     }
 
-    fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
+    fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
         let mut order: Vec<ProcId> = ctx.program.ids().collect();
         let mut rng = StdRng::seed_from_u64(self.seed);
         order.shuffle(&mut rng);
-        Layout::from_order(ctx.program, &order).expect("a shuffle is a permutation")
+        Ok(Layout::from_order(ctx.program, &order).expect("a shuffle is a permutation"))
     }
 }
 

@@ -56,8 +56,8 @@ impl<'a> PlacementContext<'a> {
 }
 
 /// Runs a budget-aware placement step with the context's budget stripped:
-/// the [`place`](PlacementAlgorithm::place) half of every merging
-/// algorithm.
+/// [`place`](PlacementAlgorithm::place), and GBSC's
+/// [`place_tuples`](crate::Gbsc::place_tuples).
 pub(crate) fn unbudgeted<T>(
     ctx: &PlacementContext<'_>,
     run: impl FnOnce(&PlacementContext<'_>) -> Result<T, BudgetExhausted>,
@@ -73,39 +73,35 @@ pub(crate) fn unbudgeted<T>(
 ///
 /// Implementations must be deterministic given the context (any randomness
 /// must be seeded at construction), so that experiments are reproducible.
+/// Each implements [`try_place`](PlacementAlgorithm::try_place) alone;
+/// [`place`](PlacementAlgorithm::place) is that run with the budget
+/// stripped.
 pub trait PlacementAlgorithm {
     /// Short identifier used in reports ("PH", "HKC", "GBSC", ...).
     fn name(&self) -> &str;
 
     /// Produces a layout covering every procedure of `ctx.program`,
-    /// ignoring any attached budget.
-    fn place(&self, ctx: &PlacementContext<'_>) -> Layout;
-
-    /// Budget-aware placement: like [`place`](PlacementAlgorithm::place),
-    /// but honours a meter attached via
-    /// [`PlacementContext::with_budget`], stopping early with
-    /// [`BudgetExhausted`] instead of overrunning.
-    ///
-    /// The default implementation runs [`place`](PlacementAlgorithm::place)
-    /// to completion (correct for algorithms whose cost is trivially
-    /// bounded, e.g. the baselines).
+    /// honouring a meter attached via [`PlacementContext::with_budget`]:
+    /// budget-aware algorithms charge their work to it and stop early
+    /// with [`BudgetExhausted`] instead of overrunning. Algorithms whose
+    /// cost is trivially bounded (the baselines) never fail.
     ///
     /// # Errors
     ///
     /// Returns [`BudgetExhausted`] when the attached budget trips before
     /// placement finishes.
-    fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
-        Ok(self.place(ctx))
+    fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted>;
+
+    /// Produces a layout covering every procedure of `ctx.program`,
+    /// ignoring any attached budget.
+    fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
+        unbudgeted(ctx, |ctx| self.try_place(ctx))
     }
 }
 
 impl<T: PlacementAlgorithm + ?Sized> PlacementAlgorithm for &T {
     fn name(&self) -> &str {
         (**self).name()
-    }
-
-    fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-        (**self).place(ctx)
     }
 
     fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
@@ -116,10 +112,6 @@ impl<T: PlacementAlgorithm + ?Sized> PlacementAlgorithm for &T {
 impl<T: PlacementAlgorithm + ?Sized> PlacementAlgorithm for Box<T> {
     fn name(&self) -> &str {
         (**self).name()
-    }
-
-    fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-        (**self).place(ctx)
     }
 
     fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
@@ -150,8 +142,8 @@ mod tests {
             fn name(&self) -> &str {
                 "dummy"
             }
-            fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-                Layout::source_order(ctx.program)
+            fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
+                Ok(Layout::source_order(ctx.program))
             }
         }
         let program = Program::builder().procedure("a", 10).build().unwrap();

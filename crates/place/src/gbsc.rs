@@ -322,10 +322,6 @@ impl PlacementAlgorithm for Gbsc {
         "GBSC"
     }
 
-    fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-        self.place_tuples(ctx).into_layout(ctx)
-    }
-
     fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
         Ok(self.tuples(ctx, &ctx.profile.trg_select)?.into_layout(ctx))
     }
@@ -361,10 +357,6 @@ impl GbscSetAssoc {
 impl PlacementAlgorithm for GbscSetAssoc {
     fn name(&self) -> &str {
         "GBSC-SA"
-    }
-
-    fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-        unbudgeted(ctx, |ctx| self.try_place(ctx))
     }
 
     fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {

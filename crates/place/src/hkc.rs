@@ -20,7 +20,6 @@
 use tempo_program::{Layout, ProcId};
 
 use crate::budget::BudgetExhausted;
-use crate::context::unbudgeted;
 use crate::gbsc::{first_min, offset_tuples, PlacementTuples};
 use crate::merge::popular_wcg;
 use crate::{PlacementAlgorithm, PlacementContext};
@@ -96,10 +95,6 @@ impl CacheColoring {
 impl PlacementAlgorithm for CacheColoring {
     fn name(&self) -> &str {
         "HKC"
-    }
-
-    fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-        unbudgeted(ctx, |ctx| self.try_place(ctx))
     }
 
     fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {

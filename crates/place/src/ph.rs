@@ -14,7 +14,6 @@ use tempo_program::{Layout, ProcId, Program};
 use tempo_trg::WeightedGraph;
 
 use crate::budget::BudgetExhausted;
-use crate::context::unbudgeted;
 use crate::merge::{greedy_merge, Combine, Nodes};
 use crate::{PlacementAlgorithm, PlacementContext};
 
@@ -154,10 +153,6 @@ fn distance(program: &Program, chain: &[ProcId], p: ProcId, q: ProcId) -> u64 {
 impl PlacementAlgorithm for PettisHansen {
     fn name(&self) -> &str {
         "PH"
-    }
-
-    fn place(&self, ctx: &PlacementContext<'_>) -> Layout {
-        unbudgeted(ctx, |ctx| self.try_place(ctx))
     }
 
     fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {

@@ -38,6 +38,11 @@ impl PopularitySelector {
         }
     }
 
+    /// The fraction of dynamic references the popular set must cover.
+    pub fn coverage_target(&self) -> f64 {
+        self.coverage
+    }
+
     /// The default policy: 99.5% dynamic coverage, minimum 2 references.
     pub fn default_policy() -> Self {
         PopularitySelector {

@@ -103,7 +103,8 @@ fn real_algorithms_are_clean_across_the_suite() {
 fn place_checked_hook_matches_direct_analysis() {
     let fx = &fixtures()[0];
     let session = tempo::ProfiledSession::from_profile(fx.program(), fx.profile.clone());
-    let (layout, report) = session.place_checked(&Gbsc::new());
+    let layout = session.place(&Gbsc::new());
+    let report = session.check(&layout);
     layout.validate(fx.program()).expect("layout is legal");
     assert_eq!(report.error_count(), 0);
     assert!(report.prediction().is_some());
