@@ -724,3 +724,160 @@ fn metrics_out_writes_parseable_snapshot_and_stats_renders_it() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The observability contract (DESIGN.md §11), through the binary so
+/// stderr is the command's own: under `--log-format json` every event
+/// line is one JSON object naming its `stage` and `event`, and each
+/// stage's `--metrics-out` snapshot declares schema 1 and carries that
+/// stage's counters and span timings, which `stats` renders.
+#[test]
+fn json_events_and_stage_snapshots_are_schema_stable() {
+    use tempo_bench::json::Json;
+
+    let dir = workdir("obs-json");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    // Runs `tempo-cli line --log-format json`; returns (stdout, stderr).
+    let tempo = |line: String| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_tempo-cli"))
+            .args(line.split_whitespace())
+            .args(["--log-format", "json"])
+            .output()
+            .expect("tempo-cli starts");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "tempo-cli {line}: {stderr}");
+        (String::from_utf8(out.stdout).unwrap(), stderr)
+    };
+    let pipeline = [
+        format!(
+            "generate --bench m88ksim --records 20000 --input train --program {} --trace {}",
+            p("m.procs"),
+            p("m.trace")
+        ),
+        format!(
+            "profile --program {} --trace {} --out {} --metrics-out {}",
+            p("m.procs"),
+            p("m.trace"),
+            p("m.profile"),
+            p("metrics-profile.json")
+        ),
+        format!(
+            "place --program {} --profile {} --algorithm gbsc --out {} --metrics-out {}",
+            p("m.procs"),
+            p("m.profile"),
+            p("m.layout"),
+            p("metrics-place.json")
+        ),
+        format!(
+            "simulate --program {} --trace {} --layout {} --metrics-out {}",
+            p("m.procs"),
+            p("m.trace"),
+            p("m.layout"),
+            p("metrics.json")
+        ),
+    ];
+    let events: String = pipeline.into_iter().map(|line| tempo(line).1).collect();
+
+    let mut seen = 0;
+    for line in events.lines().map(str::trim).filter(|l| l.starts_with('{')) {
+        let obj = Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert!(
+            obj.get("stage").is_some() && obj.get("event").is_some(),
+            "{line}"
+        );
+        seen += 1;
+    }
+    assert!(seen >= 4, "expected >= 4 JSON event lines, saw {seen}");
+
+    let load = |name: &str, keys: &[&str]| {
+        let body = std::fs::read_to_string(p(name)).unwrap();
+        let doc = Json::parse(&body).unwrap();
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_f64),
+            Some(1.0),
+            "{name}"
+        );
+        let snap = tempo_obs::Snapshot::parse_json(&body).unwrap();
+        for key in keys {
+            assert!(snap.get(key).is_some(), "{name} missing {key}");
+        }
+        snap
+    };
+    load(
+        "metrics-profile.json",
+        &[
+            "trace.records_read",
+            "profile.records",
+            "profile.wcg_edges",
+            "stage.profile",
+        ],
+    );
+    load(
+        "metrics-place.json",
+        &["place.runs", "place.work_spent", "stage.place"],
+    );
+    let sim = load(
+        "metrics.json",
+        &["sim.accesses", "sim.misses", "stage.simulate"],
+    );
+    assert!(matches!(
+        sim.get("stage.simulate"),
+        Some(tempo_obs::MetricValue::Histogram(_))
+    ));
+    assert!(matches!(
+        sim.get("sim.misses"),
+        Some(tempo_obs::MetricValue::Counter(_))
+    ));
+
+    let (rendered, _) = tempo(format!("stats --metrics {}", p("metrics.json")));
+    assert!(rendered.contains("sim.misses"), "stats output: {rendered}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `tempo-bench run-all` attributes each experiment's counter deltas into
+/// its run record: a record with no trace/profile/place/sim metrics means
+/// the pipeline's instrumentation went dark.
+#[test]
+fn bench_run_record_carries_pipeline_metrics() {
+    use tempo_bench::harness::{run_all, RunAllOpts, RunAllReport};
+
+    let dir = workdir("obs-bench");
+    let record = dir.join("BENCH_obs.json");
+    let report = run_all(&RunAllOpts {
+        records: Some(20_000),
+        runs: Some(8),
+        jobs: 1,
+        out_dir: dir.join("results-obs"),
+        bench_json: Some(record.clone()),
+        only: Some(vec!["fig1_motivation".to_string()]),
+        ..RunAllOpts::default()
+    })
+    .unwrap();
+    assert!(report.all_ok(), "{report:?}");
+
+    let parsed = RunAllReport::from_json(&std::fs::read_to_string(&record).unwrap()).unwrap();
+    assert!(
+        !parsed.experiments.is_empty(),
+        "no experiments in the record"
+    );
+    for exp in &parsed.experiments {
+        let pipeline = exp
+            .metrics
+            .iter()
+            .filter(|(k, _)| {
+                matches!(
+                    k.split('.').next(),
+                    Some("trace" | "profile" | "place" | "sim")
+                )
+            })
+            .count();
+        assert!(
+            pipeline > 0,
+            "{}: no pipeline metrics in {:?}",
+            exp.name,
+            exp.metrics
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

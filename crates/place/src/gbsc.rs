@@ -374,6 +374,8 @@ impl PlacementAlgorithm for GbscSetAssoc {
         // through the chunk -> owner table.
         let assocs: Vec<(u32, u32, u32, f64)> =
             db.iter().map(|(k, w)| (k.p, k.r, k.s, w)).collect();
+        // Scratch set lists, reused across associations and merges.
+        let (mut fixed, mut shifted, mut mine) = (Vec::new(), Vec::new(), Vec::new());
         let tuples = offset_tuples(ctx, &ctx.profile.trg_select, move |offsets, nodes, u, v| {
             let mut acc = vec![0.0f64; lines];
             for &(p, r, s, w) in &assocs {
@@ -387,32 +389,29 @@ impl PlacementAlgorithm for GbscSetAssoc {
                 if np == nr && nr == ns {
                     continue; // intra-node cost is invariant under the scan
                 }
-                // Sets occupied by each chunk in its node frame.
-                let sets_of = |chunk: u32| -> Vec<u32> {
-                    geometry.lines(offsets, chunk).map(|l| l % sets).collect()
-                };
                 // Split participants into the fixed node (u) and the
-                // shifted node (v), intersect within each side.
-                let mut fixed: Option<Vec<u32>> = None;
-                let mut shifted: Option<Vec<u32>> = None;
-                for &(chunk, node) in &[(p, np), (r, nr), (s, ns)] {
-                    let mine = sets_of(chunk);
-                    let slot = if node == u { &mut fixed } else { &mut shifted };
-                    *slot = Some(match slot.take() {
-                        None => mine,
-                        Some(prev) => prev.into_iter().filter(|x| mine.contains(x)).collect(),
-                    });
+                // shifted node (v), and intersect the sets each chunk
+                // occupies in its node frame within each side. Both sides
+                // have a participant, since not all three share a node.
+                let parts = [(p, np), (r, nr), (s, ns)];
+                for (k, &(chunk, node)) in parts.iter().enumerate() {
+                    mine.clear();
+                    mine.extend(geometry.lines(offsets, chunk).map(|l| l % sets));
+                    let side = if node == u { &mut fixed } else { &mut shifted };
+                    if parts[..k].iter().any(|&(_, n)| (n == u) == (node == u)) {
+                        side.retain(|x| mine.contains(x));
+                    } else {
+                        side.clear();
+                        side.extend_from_slice(&mine);
+                    }
                 }
-                let (Some(fa), Some(sb)) = (fixed, shifted) else {
-                    continue;
-                };
                 // A displacement needs all three in one set: every
                 // (fixed-set, shifted-set) pair votes for the shifts
                 // that align them. Shifting node v by `i` lines moves
                 // its sets by `i mod sets`.
-                for &sa in &fa {
-                    for &sb_ in &sb {
-                        let base = (sa + sets - sb_) % sets;
+                for &sa in &fixed {
+                    for &sb in &shifted {
+                        let base = (sa + sets - sb) % sets;
                         // All line offsets congruent to `base` mod sets.
                         let mut i = base;
                         while (i as usize) < lines {
