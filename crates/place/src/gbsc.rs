@@ -23,11 +23,11 @@
 use rand::Rng;
 use tempo_cache::CacheConfig;
 use tempo_program::{Layout, ProcId, Program};
-use tempo_trg::WeightedGraph;
+use tempo_trg::{PairDb, WeightedGraph};
 
 use crate::budget::BudgetExhausted;
 use crate::context::unbudgeted;
-use crate::merge::{greedy_merge, Combine, Nodes};
+use crate::merge::{greedy_merge, merge_order, Combine, Nodes};
 use crate::{linearize, PlacementAlgorithm, PlacementContext};
 
 /// The cache-relative alignment decisions for the popular procedures — the
@@ -150,15 +150,15 @@ impl<F: FnMut(&[u32], &Nodes, u32, u32) -> u32> Combine for Offsets<F> {
     }
 }
 
-/// Greedy offset merging of the popular procedures over `selection`,
-/// returning their final alignments.
+/// Greedy offset merging of the popular procedures along `order` (from
+/// [`merge_order`]), returning their final alignments.
 ///
 /// # Errors
 ///
 /// Returns [`BudgetExhausted`] when the context's budget trips mid-merge.
 pub(crate) fn offset_tuples(
     ctx: &PlacementContext<'_>,
-    selection: &WeightedGraph,
+    order: &[(u32, u32)],
     pick: impl FnMut(&[u32], &Nodes, u32, u32) -> u32,
 ) -> Result<PlacementTuples, BudgetExhausted> {
     let lines = ctx.cache().lines();
@@ -167,7 +167,7 @@ pub(crate) fn offset_tuples(
         offsets: vec![0; ctx.program.len()],
         pick,
     };
-    let nodes = greedy_merge(ctx, selection, ctx.profile.popular.iter(), &mut step)?;
+    let nodes = greedy_merge(ctx, order, ctx.profile.popular.iter(), &mut step)?;
     let mut tuples = PlacementTuples::new(ctx.program.len(), lines);
     for (_, members) in nodes.live() {
         for &p in members {
@@ -228,6 +228,15 @@ impl ChunkLines {
         nodes.node_of(self.owner[chunk as usize].index())
     }
 
+    /// The cache sets a chunk covers, given the current offset of its
+    /// owner, as a circular run `(first set, length)`. A run longer than
+    /// `sets` wraps and lists sets twice, as [`lines`](Self::lines) does.
+    fn set_run(&self, offsets: &[u32], sets: u32, chunk: u32) -> (u32, u32) {
+        let c = chunk as usize;
+        let start = offsets[self.owner[c].as_usize()] + self.rel_line[c];
+        (start % sets, self.nlines[c].min(self.lines))
+    }
+
     /// Absolute cache lines (mod line count) occupied by a chunk, given
     /// the current offset of its owner.
     fn lines<'s>(&'s self, offsets: &'s [u32], chunk: u32) -> impl Iterator<Item = u32> + 's {
@@ -272,7 +281,7 @@ impl Gbsc {
         let geometry = ChunkLines::new(program, ctx.cache());
         let trg_place = &ctx.profile.trg_place;
         let lines = ctx.cache().lines();
-        offset_tuples(ctx, selection, move |offsets, nodes, u, v| {
+        offset_tuples(ctx, &merge_order(selection), move |offsets, nodes, u, v| {
             // Figure 4's cost scan, computed sparsely: for every TRG_place
             // edge crossing the two nodes, each pair of co-residable lines
             // votes for the relative offset that would make them collide.
@@ -359,6 +368,12 @@ impl PlacementAlgorithm for GbscSetAssoc {
         "GBSC-SA"
     }
 
+    /// Costs each pair-database association once, at the merge that first
+    /// puts its chunks' owners in one node: before it a participant is
+    /// outside the two merging nodes, after it all three share a node and
+    /// the scan cannot move them apart. The associations costed are added
+    /// to the `place.sa_assocs_costed` counter, a host-independent measure
+    /// of the merge's cost.
     fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
         let db = ctx.profile.pair_db.as_ref().expect(
             "set-associative placement needs a pair database; enable Profiler::with_pair_db",
@@ -369,70 +384,386 @@ impl PlacementAlgorithm for GbscSetAssoc {
         );
         let geometry = ChunkLines::new(ctx.program, ctx.cache());
         let sets = ctx.cache().sets();
-        let lines = ctx.cache().lines() as usize;
-        // Pre-collect the associations once; each merge filters by node,
-        // through the chunk -> owner table.
-        let assocs: Vec<(u32, u32, u32, f64)> =
-            db.iter().map(|(k, w)| (k.p, k.r, k.s, w)).collect();
+        let order = merge_order(&ctx.profile.trg_select);
+        let (start, flat) = by_merge(&geometry, ctx, &order, db);
         // Scratch set lists, reused across associations and merges.
-        let (mut fixed, mut shifted, mut mine) = (Vec::new(), Vec::new(), Vec::new());
-        let tuples = offset_tuples(ctx, &ctx.profile.trg_select, move |offsets, nodes, u, v| {
-            let mut acc = vec![0.0f64; lines];
-            for &(p, r, s, w) in &assocs {
-                let np = geometry.node(nodes, p);
-                let nr = geometry.node(nodes, r);
-                let ns = geometry.node(nodes, s);
-                let in_uv = |n: u32| n == u || n == v;
-                if !(in_uv(np) && in_uv(nr) && in_uv(ns)) {
-                    continue; // a participant is elsewhere: alignment here is moot
-                }
-                if np == nr && nr == ns {
-                    continue; // intra-node cost is invariant under the scan
-                }
+        let (mut fixed, mut shifted) = (Vec::new(), Vec::new());
+        let (mut step, mut costed) = (0, 0u64);
+        let tuples = offset_tuples(ctx, &order, |offsets, nodes, u, v| {
+            // Shifting node v by `i` lines moves its sets by `i mod sets`,
+            // so shifts `i` and `i + sets` always cost the same: the
+            // first cheapest of all `lines` shifts is the first cheapest
+            // of the first `sets`, and only those are tallied.
+            let mut acc = vec![0.0f64; sets as usize];
+            let due = &flat[start[step]..start[step + 1]];
+            step += 1;
+            costed += due.len() as u64;
+            for &(p, r, s, w) in due {
                 // Split participants into the fixed node (u) and the
-                // shifted node (v), and intersect the sets each chunk
-                // occupies in its node frame within each side. Both sides
+                // shifted node (v); each side keeps its first chunk's sets
+                // that its other chunk, if any, also covers. Both sides
                 // have a participant, since not all three share a node.
-                let parts = [(p, np), (r, nr), (s, ns)];
-                for (k, &(chunk, node)) in parts.iter().enumerate() {
-                    mine.clear();
-                    mine.extend(geometry.lines(offsets, chunk).map(|l| l % sets));
-                    let side = if node == u { &mut fixed } else { &mut shifted };
-                    if parts[..k].iter().any(|&(_, n)| (n == u) == (node == u)) {
-                        side.retain(|x| mine.contains(x));
-                    } else {
-                        side.clear();
-                        side.extend_from_slice(&mine);
+                let parts = [p, r, s].map(|c| (geometry.node(nodes, c) == u, c));
+                debug_assert!(parts.iter().all(|&(_, c)| {
+                    let n = geometry.node(nodes, c);
+                    n == u || n == v
+                }));
+                for (side, in_u) in [(&mut fixed, true), (&mut shifted, false)] {
+                    let mut runs = parts
+                        .iter()
+                        .filter(|&&(at_u, _)| at_u == in_u)
+                        .map(|&(_, c)| geometry.set_run(offsets, sets, c));
+                    let first = runs.next().expect("each side has a participant");
+                    let other = runs.next();
+                    side.clear();
+                    let mut set = first.0;
+                    for _ in 0..first.1 {
+                        if other.is_none_or(|o| covers(o, set, sets)) {
+                            side.push(set);
+                        }
+                        set += 1;
+                        if set == sets {
+                            set = 0;
+                        }
                     }
                 }
                 // A displacement needs all three in one set: every
                 // (fixed-set, shifted-set) pair votes for the shifts
-                // that align them. Shifting node v by `i` lines moves
-                // its sets by `i mod sets`.
+                // that align them, `sa - sb` mod sets.
                 for &sa in &fixed {
                     for &sb in &shifted {
-                        let base = (sa + sets - sb) % sets;
-                        // All line offsets congruent to `base` mod sets.
-                        let mut i = base;
-                        while (i as usize) < lines {
-                            acc[i as usize] += w;
-                            i += sets;
-                        }
+                        acc[(if sa >= sb { sa - sb } else { sa + sets - sb }) as usize] += w;
                     }
                 }
             }
             first_min(&acc)
-        })?;
-        Ok(tuples.into_layout(ctx))
+        });
+        tempo_obs::counter("place.sa_assocs_costed").add(costed);
+        Ok(tuples?.into_layout(ctx))
     }
+}
+
+/// Whether the circular set run `(first, len)` covers `set`: `set` lies
+/// `d < sets` steps past `first`, so a run of `sets` or more covers all.
+#[inline]
+fn covers((first, len): (u32, u32), set: u32, sets: u32) -> bool {
+    let mut d = set + sets - first;
+    if d >= sets {
+        d -= sets;
+    }
+    d < len
+}
+
+/// The merge step at which each pair of procedures first shares a node:
+/// the merge order replayed on a union-by-size forest without path
+/// compression, each link labelled with the step that made it. Labels
+/// grow towards the roots, so the step two procedures join at is the
+/// largest label on the forest path between them.
+struct JoinSteps {
+    parent: Vec<u32>,
+    /// The step that linked each procedure under its parent; [`ROOT`] at
+    /// a root.
+    step: Vec<u32>,
+}
+
+/// [`JoinSteps`] label of a procedure no merge has linked.
+const ROOT: u32 = u32::MAX;
+
+impl JoinSteps {
+    #[allow(clippy::cast_possible_truncation)] // procedure indices and merge steps fit u32
+    fn new(n: usize, order: &[(u32, u32)]) -> Self {
+        let mut forest = JoinSteps {
+            parent: (0..n as u32).collect(),
+            step: vec![ROOT; n],
+        };
+        let mut size = vec![1u32; n];
+        for (k, &(u, v)) in order.iter().enumerate() {
+            let (mut a, mut b) = (forest.root(u), forest.root(v));
+            if size[a as usize] < size[b as usize] {
+                std::mem::swap(&mut a, &mut b);
+            }
+            forest.parent[b as usize] = a;
+            forest.step[b as usize] = k as u32;
+            size[a as usize] += size[b as usize];
+        }
+        forest
+    }
+
+    fn root(&self, mut x: u32) -> u32 {
+        while self.step[x as usize] != ROOT {
+            x = self.parent[x as usize];
+        }
+        x
+    }
+
+    /// The step at which procedures `a` and `b` first share a node (0 when
+    /// they are the same procedure), or `None` if they never do. Walking
+    /// up from the endpoint with the smaller label crosses the path's
+    /// labels in increasing order, so the last one crossed is the largest.
+    fn join(&self, mut a: u32, mut b: u32) -> Option<u32> {
+        let mut at = 0;
+        while a != b {
+            let (sa, sb) = (self.step[a as usize], self.step[b as usize]);
+            if sa < sb {
+                (at, a) = (sa, self.parent[a as usize]);
+            } else if sb != ROOT {
+                (at, b) = (sb, self.parent[b as usize]);
+            } else {
+                return None; // two roots: never joined
+            }
+        }
+        Some(at)
+    }
+}
+
+/// One pair-database association `D(p, {r, s})`: the focal chunk, the
+/// intervening pair and its count.
+type Assoc = (u32, u32, u32, f64);
+
+/// The pair database's associations bucketed by the merge that costs
+/// them: merge `k` costs `flat[start[k]..start[k + 1]]`, in `db.iter()`
+/// order. An association is due at the merge that first puts its chunks'
+/// owners in one node. It is never due if an owner is unpopular (not
+/// aligned) or all three owners are one procedure (the scan cannot change
+/// its cost).
+fn by_merge(
+    geometry: &ChunkLines,
+    ctx: &PlacementContext<'_>,
+    order: &[(u32, u32)],
+    db: &PairDb,
+) -> (Vec<usize>, Vec<Assoc>) {
+    let forest = JoinSteps::new(ctx.program.len(), order);
+    let popular = &ctx.profile.popular;
+    let due = |chunks: [u32; 3]| -> Option<usize> {
+        let [a, b, c] = chunks.map(|chunk| geometry.owner[chunk as usize]);
+        if !(popular.is_popular(a) && popular.is_popular(b) && popular.is_popular(c))
+            || (a == b && b == c)
+        {
+            return None;
+        }
+        let (a, b, c) = (a.index(), b.index(), c.index());
+        Some(forest.join(a, b)?.max(forest.join(a, c)?) as usize)
+    };
+    // Counting sort: count per merge, prefix-sum into offsets, then fill.
+    // The fill pass recomputes each stamp rather than keeping 4 bytes per
+    // association between the passes.
+    let mut start = vec![0usize; order.len() + 1];
+    for (k, _) in db.iter() {
+        if let Some(t) = due([k.p, k.r, k.s]) {
+            start[t + 1] += 1;
+        }
+    }
+    for k in 1..start.len() {
+        start[k] += start[k - 1];
+    }
+    let mut flat = vec![(0, 0, 0, 0.0); start[order.len()]];
+    let mut next = start.clone();
+    for (k, w) in db.iter() {
+        if let Some(t) = due([k.p, k.r, k.s]) {
+            flat[next[t]] = (k.p, k.r, k.s, w);
+            next[t] += 1;
+        }
+    }
+    (start, flat)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tempo_cache::simulate;
     use tempo_trace::Trace;
-    use tempo_trg::{PopularitySelector, ProfileData, Profiler};
+    use tempo_trg::{PopularSet, PopularitySelector, ProfileData, Profiler};
+
+    /// GBSC-SA as first written, kept as the reference the shipped one
+    /// must match: every merge scans the whole pair database for the
+    /// associations whose owners all sit in the two merging nodes.
+    struct ReferenceSetAssoc;
+
+    impl PlacementAlgorithm for ReferenceSetAssoc {
+        fn name(&self) -> &str {
+            "GBSC-SA"
+        }
+
+        fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
+            let db = ctx.profile.pair_db.as_ref().unwrap();
+            let geometry = ChunkLines::new(ctx.program, ctx.cache());
+            let sets = ctx.cache().sets();
+            let lines = ctx.cache().lines() as usize;
+            let assocs: Vec<(u32, u32, u32, f64)> =
+                db.iter().map(|(k, w)| (k.p, k.r, k.s, w)).collect();
+            let (mut fixed, mut shifted, mut mine) = (Vec::new(), Vec::new(), Vec::new());
+            let order = merge_order(&ctx.profile.trg_select);
+            let tuples = offset_tuples(ctx, &order, move |offsets, nodes, u, v| {
+                let mut acc = vec![0.0f64; lines];
+                for &(p, r, s, w) in &assocs {
+                    let np = geometry.node(nodes, p);
+                    let nr = geometry.node(nodes, r);
+                    let ns = geometry.node(nodes, s);
+                    let in_uv = |n: u32| n == u || n == v;
+                    if !(in_uv(np) && in_uv(nr) && in_uv(ns)) || (np == nr && nr == ns) {
+                        continue;
+                    }
+                    let parts = [(p, np), (r, nr), (s, ns)];
+                    for (k, &(chunk, node)) in parts.iter().enumerate() {
+                        mine.clear();
+                        mine.extend(geometry.lines(offsets, chunk).map(|l| l % sets));
+                        let side = if node == u { &mut fixed } else { &mut shifted };
+                        if parts[..k].iter().any(|&(_, n)| (n == u) == (node == u)) {
+                            side.retain(|x| mine.contains(x));
+                        } else {
+                            side.clear();
+                            side.extend_from_slice(&mine);
+                        }
+                    }
+                    for &sa in &fixed {
+                        for &sb in &shifted {
+                            let mut i = (sa + sets - sb) % sets;
+                            while (i as usize) < lines {
+                                acc[i as usize] += w;
+                                i += sets;
+                            }
+                        }
+                    }
+                }
+                first_min(&acc)
+            })?;
+            Ok(tuples.into_layout(ctx))
+        }
+    }
+
+    /// A program of `sizes` under `chunk_size`, profiled for `cache` with
+    /// a pair database over a two-record trace, so the graphs, the pair
+    /// database and the popular set can be replaced by hand.
+    fn bare_sa_profile(
+        sizes: &[u32],
+        chunk_size: u32,
+        cache: CacheConfig,
+    ) -> (Program, ProfileData) {
+        let mut b = Program::builder();
+        for (i, &s) in sizes.iter().enumerate() {
+            b.procedure(format!("p{i}"), s);
+        }
+        let p = b.chunk_size(chunk_size).build().unwrap();
+        let ids: Vec<ProcId> = p.ids().collect();
+        let prof = profile_for(
+            &p,
+            &Trace::from_full_records(&p, [ids[0], ids[1]]),
+            cache,
+            true,
+        );
+        (p, prof)
+    }
+
+    /// `GbscSetAssoc` and its `place.sa_assocs_costed` count, under a
+    /// private registry.
+    fn metered_sa(ctx: &PlacementContext<'_>) -> (Layout, u64) {
+        let registry = std::sync::Arc::new(tempo_obs::Registry::new());
+        let layout = {
+            let _scope = tempo_obs::scoped(registry.clone());
+            GbscSetAssoc::new().place(ctx)
+        };
+        let costed = registry.snapshot().counter("place.sa_assocs_costed");
+        (layout, costed.unwrap())
+    }
+
+    proptest! {
+        #[test]
+        fn sa_layouts_match_the_reference(
+            sizes in prop::collection::vec(32u32..1100, 2..24),
+            popular in prop::collection::vec((0u8..5).prop_map(|x| x != 0), 24..25),
+            edges in prop::collection::vec((0usize..24, 0usize..24, 1u32..4), 0..30),
+            assocs in prop::collection::vec((0u32..120, 0u32..120, 0u32..120, 1u32..5), 0..150),
+            scale in (0usize..3).prop_map(|i| [1.0, 0.3, 0.77][i]),
+            runs_wrap in any::<bool>(),
+            budget in 0u64..600,
+        ) {
+            // 512 B 4-way with 256 B chunks: a chunk's 8 lines wrap the 4
+            // sets twice. 1 KB 2-way with 64 B chunks: 2 lines of 16 sets.
+            let (cache, chunk_size) = if runs_wrap {
+                (CacheConfig::new(512, 32, 4).unwrap(), 256)
+            } else {
+                (CacheConfig::new(1024, 32, 2).unwrap(), 64)
+            };
+            let (p, mut prof) = bare_sa_profile(&sizes, chunk_size, cache);
+            let n = p.len();
+            let popular = popular[..n].to_vec();
+            // Sparse edges among popular procedures: several components,
+            // so some associations are never due.
+            let mut trg = WeightedGraph::new();
+            for (a, b, w) in edges {
+                let (a, b) = (a % n, b % n);
+                if a != b && popular[a] && popular[b] {
+                    trg.add_weight(a as u32, b as u32, f64::from(w));
+                }
+            }
+            // Chunks of unpopular procedures, chunks of one procedure, and
+            // non-integer counts after scaling.
+            let chunks = p.chunk_count();
+            let mut db = PairDb::new();
+            for (a, b, c, w) in assocs {
+                let (a, b, c) = (a % chunks, b % chunks, c % chunks);
+                if a != b && a != c && b != c {
+                    db.add(a, b, c, f64::from(w));
+                }
+            }
+            db.scale(scale);
+            prof.popular = PopularSet::from_parts(popular, vec![1; n]);
+            prof.trg_select = trg;
+            prof.pair_db = Some(db);
+            let ctx = PlacementContext::new(&p, &prof);
+            prop_assert_eq!(
+                GbscSetAssoc::new().place(&ctx),
+                ReferenceSetAssoc.place(&ctx)
+            );
+            // A work budget that trips mid-merge degrades identically.
+            let budget = crate::Budget::work_units(budget);
+            prop_assert_eq!(
+                crate::place_with_fallback(&p, &prof, &GbscSetAssoc::new(), budget),
+                crate::place_with_fallback(&p, &prof, &ReferenceSetAssoc, budget)
+            );
+        }
+    }
+
+    #[test]
+    fn sa_costs_each_association_once() {
+        // A path whose weights fall away from procedure 0: every merge
+        // joins a singleton to the one growing node, so a scan of the
+        // whole pair database per merge would make Θ(merges × |DB|)
+        // visits. Each procedure has three 256 B chunks, and the dense
+        // database over neighbouring chunks holds associations whose
+        // three chunks share one owner; those are never costed.
+        let n: u32 = 200;
+        let cache = CacheConfig::two_way_8k();
+        let (p, mut prof) = bare_sa_profile(&vec![768; n as usize], 256, cache);
+        prof.popular = PopularSet::from_parts(vec![true; n as usize], vec![1; n as usize]);
+        prof.trg_select = (0..n - 1).map(|i| (i, i + 1, f64::from(n - i))).collect();
+        let chunks = p.chunk_count();
+        let owner = |c: u32| c / 3;
+        let (mut db, mut stamped) = (PairDb::new(), 0u64);
+        for a in 0..chunks {
+            for b in a.saturating_sub(4)..(a + 5).min(chunks) {
+                for c in b + 1..(a + 5).min(chunks) {
+                    if a != b && a != c {
+                        db.add(a, b, c, 1.0);
+                        if !(owner(a) == owner(b) && owner(b) == owner(c)) {
+                            stamped += 1;
+                        }
+                    }
+                }
+            }
+        }
+        let total = db.len() as u64;
+        prof.pair_db = Some(db);
+        let ctx = PlacementContext::new(&p, &prof);
+        let (metered, costed) = metered_sa(&ctx);
+        assert_eq!(costed, stamped);
+        assert!(costed < total, "{costed} costed of {total} associations");
+        // The count is a side record: the layout is the same with metrics
+        // off, and it is the reference's.
+        assert_eq!(metered, GbscSetAssoc::new().place(&ctx));
+        assert_eq!(metered, ReferenceSetAssoc.place(&ctx));
+    }
 
     fn profile_for(
         program: &Program,

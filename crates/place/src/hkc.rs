@@ -21,7 +21,7 @@ use tempo_program::{Layout, ProcId};
 
 use crate::budget::BudgetExhausted;
 use crate::gbsc::{first_min, offset_tuples, PlacementTuples};
-use crate::merge::popular_wcg;
+use crate::merge::{merge_order, popular_wcg};
 use crate::{PlacementAlgorithm, PlacementContext};
 
 /// The cache-line-coloring placement algorithm (HKC).
@@ -46,7 +46,7 @@ impl CacheColoring {
         // Greedy merge over the popular WCG; cost = WCG weight summed over
         // every cache line where two cross-node procedures would overlap.
         let wcg = &popular_wcg(ctx.profile);
-        offset_tuples(ctx, wcg, move |offsets, nodes, u, v| {
+        offset_tuples(ctx, &merge_order(wcg), move |offsets, nodes, u, v| {
             // Primary cost: weighted overlap with WCG neighbors across the
             // two nodes.
             let mut acc = vec![0.0f64; lines as usize];

@@ -3,13 +3,17 @@
 //! PH (§2), HKC (§5), GBSC and GBSC-SA (§4, §6) and both §4 ablations run
 //! one skeleton: take the heaviest edge of a working copy of a selection
 //! graph, combine the two nodes it joins, and fold the edge away with
-//! [`WeightedGraph::merge_nodes`]. [`greedy_merge`] owns that loop, the
-//! node tables and the budget. An algorithm supplies its selection graph,
-//! the procedures that start as nodes, and a [`Combine`] step that prices
-//! each merge in work units and decides how the two nodes sit together:
-//! as one chain (PH's byte adjacency, `ph::chain_layout`) or at
-//! cache-relative offsets (Figure 4's `merge_nodes` scan,
-//! `gbsc::offset_tuples`).
+//! [`WeightedGraph::merge_nodes`]. The pair merged at each step depends on
+//! the selection graph alone, never on a combine step, so [`merge_order`]
+//! runs that loop once, up front, and [`greedy_merge`] folds over the
+//! order it returns, owning the node tables and the budget. An algorithm
+//! supplies the order, the procedures that start as nodes, and a
+//! [`Combine`] step that prices each merge in work units and decides how
+//! the two nodes sit together: as one chain (PH's byte adjacency,
+//! `ph::chain_layout`) or at cache-relative offsets (Figure 4's
+//! `merge_nodes` scan, `gbsc::offset_tuples`). GBSC-SA also reads the
+//! order ahead, to know at which merge each pair-database association is
+//! first costed.
 
 use tempo_program::ProcId;
 use tempo_trg::{ProfileData, WeightedGraph};
@@ -81,16 +85,29 @@ pub(crate) trait Combine {
     fn combine(&mut self, nodes: &mut Nodes, u: u32, v: u32);
 }
 
-/// Greedily merges `nodes` over `selection`, heaviest working edge first
-/// (ties to the smallest endpoint pair), charging every merge to the
-/// context's budget. Returns the final node tables.
+/// The greedy merges of `selection`, in order: each step takes the
+/// heaviest working edge (ties to the smallest endpoint pair) and yields
+/// `(u, v)`, node `v` folding into node `u`.
+pub(crate) fn merge_order(selection: &WeightedGraph) -> Vec<(u32, u32)> {
+    let mut working = selection.clone();
+    let mut order = Vec::new();
+    while let Some(e) = working.heaviest_edge() {
+        order.push((e.a, e.b));
+        working.merge_nodes(e.a, e.b);
+    }
+    order
+}
+
+/// Merges `nodes` pair by pair along `order` (from [`merge_order`]),
+/// charging every merge to the context's budget. Returns the final node
+/// tables.
 ///
 /// # Errors
 ///
 /// Returns [`BudgetExhausted`] when a merge's charge trips the budget.
 pub(crate) fn greedy_merge(
     ctx: &PlacementContext<'_>,
-    selection: &WeightedGraph,
+    order: &[(u32, u32)],
     nodes: impl IntoIterator<Item = ProcId>,
     step: &mut impl Combine,
 ) -> Result<Nodes, BudgetExhausted> {
@@ -103,13 +120,10 @@ pub(crate) fn greedy_merge(
         tables.node_of[id.as_usize()] = id.index();
         tables.members[id.as_usize()].push(id);
     }
-    let mut working = selection.clone();
-    while let Some(e) = working.heaviest_edge() {
-        let (u, v) = (e.a, e.b);
+    for &(u, v) in order {
         ctx.charge(step.charge(&tables, u, v))?;
         step.combine(&mut tables, u, v);
         tables.join(u, v);
-        working.merge_nodes(u, v);
     }
     Ok(tables)
 }

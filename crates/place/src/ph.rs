@@ -14,7 +14,7 @@ use tempo_program::{Layout, ProcId, Program};
 use tempo_trg::WeightedGraph;
 
 use crate::budget::BudgetExhausted;
-use crate::merge::{greedy_merge, Combine, Nodes};
+use crate::merge::{greedy_merge, merge_order, Combine, Nodes};
 use crate::{PlacementAlgorithm, PlacementContext};
 
 /// The Pettis–Hansen placement algorithm.
@@ -126,7 +126,8 @@ pub(crate) fn chain_layout(
         selection,
         scanned: 0,
     };
-    let merged = greedy_merge(ctx, selection, ctx.program.ids(), &mut step);
+    let order = merge_order(selection);
+    let merged = greedy_merge(ctx, &order, ctx.program.ids(), &mut step);
     tempo_obs::counter("place.chain_edges_scanned").add(step.scanned);
     Ok(packed(ctx, &merged?))
 }
@@ -213,7 +214,7 @@ mod tests {
         };
         packed(
             ctx,
-            &greedy_merge(ctx, selection, ctx.program.ids(), &mut step).unwrap(),
+            &greedy_merge(ctx, &merge_order(selection), ctx.program.ids(), &mut step).unwrap(),
         )
     }
 
