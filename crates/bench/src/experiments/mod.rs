@@ -24,7 +24,6 @@ pub mod q_bound_sweep;
 pub mod reuse_profile;
 pub mod s_sweep;
 pub mod set_associative;
-pub mod shard_scale;
 pub mod splitting;
 pub mod stream_scale;
 pub mod table1;

@@ -45,8 +45,6 @@ pub enum ExperimentError {
     Job(JobPanic),
     /// Streaming trace I/O failed.
     Trace(tempo::trace::io::TraceIoError),
-    /// Sharded profiling failed at the supervisor level.
-    Shard(tempo::ShardError),
     /// Filesystem failure.
     Io(std::io::Error),
     /// Anything else, stringified.
@@ -58,7 +56,6 @@ impl fmt::Display for ExperimentError {
         match self {
             ExperimentError::Job(p) => write!(f, "parallel {p}"),
             ExperimentError::Trace(e) => write!(f, "trace i/o failed: {e}"),
-            ExperimentError::Shard(e) => write!(f, "sharded profiling failed: {e}"),
             ExperimentError::Io(e) => write!(f, "i/o error: {e}"),
             ExperimentError::Other(msg) => write!(f, "{msg}"),
         }
@@ -70,7 +67,6 @@ impl std::error::Error for ExperimentError {
         match self {
             ExperimentError::Job(p) => Some(p),
             ExperimentError::Trace(e) => Some(e),
-            ExperimentError::Shard(e) => Some(e),
             ExperimentError::Io(e) => Some(e),
             ExperimentError::Other(_) => None,
         }
@@ -86,12 +82,6 @@ impl From<JobPanic> for ExperimentError {
 impl From<tempo::trace::io::TraceIoError> for ExperimentError {
     fn from(e: tempo::trace::io::TraceIoError) -> Self {
         ExperimentError::Trace(e)
-    }
-}
-
-impl From<tempo::ShardError> for ExperimentError {
-    fn from(e: tempo::ShardError) -> Self {
-        ExperimentError::Shard(e)
     }
 }
 
@@ -431,14 +421,6 @@ pub const REGISTRY: &[ExperimentSpec] = &[
         default_runs: 1,
         has_csv: false,
         run: crate::experiments::drift_adapt::run,
-    },
-    ExperimentSpec {
-        name: "shard_scale",
-        title: "Supervised sharded profiling (merge==sequential, per-jobs throughput)",
-        default_records: 200_000,
-        default_runs: 1,
-        has_csv: false,
-        run: crate::experiments::shard_scale::run,
     },
 ];
 
@@ -986,9 +968,7 @@ fn check_profile_counters(
     }
 }
 
-/// Metric name gated by the throughput floor. Per-jobs variants
-/// (`jobsN.records_per_sec`) are deliberately excluded: they measure
-/// scaling shape, which depends on the runner's core count.
+/// Metric name gated by the throughput floor.
 const THROUGHPUT_METRIC: &str = "records_per_sec";
 
 fn check_throughput_floor(

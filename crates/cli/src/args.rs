@@ -141,7 +141,7 @@ impl ArgMap {
             .keys()
             .chain(self.switches.iter())
             .filter(|f| !consumed.contains(f))
-            .cloned()
+            .map(|f| format!("--{f}"))
             .collect();
         if unknown.is_empty() {
             Ok(())

@@ -2,7 +2,7 @@
 
 use std::fs::File;
 use std::io::{BufRead as _, BufReader, BufWriter, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use tempo::cache::classify;
 use tempo::place::algorithm_for;
@@ -330,135 +330,15 @@ pub fn generate(args: &ArgMap) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Maps a sharded-profiling failure to the CLI error taxonomy.
-fn shard_cli_error(e: tempo::ShardError) -> CliError {
-    use tempo::ShardError as E;
-    match e {
-        E::Trace(t) => CliError::parse("trace", t),
-        E::Profile(p) => CliError::parse("profile", p),
-        E::Io(io) => CliError::Io(io),
-        E::Merge(m) => CliError::Inconsistent(format!("shard profiles failed to merge: {m}")),
-        E::CoverageFloor {
-            covered,
-            floor,
-            quarantined,
-        } => CliError::Inconsistent(format!(
-            "sharded profile covered {:.1}% of the trace, below the {:.1}% floor \
-             ({quarantined} shard(s) quarantined); lower --coverage-floor to accept a \
-             partial profile",
-            covered * 100.0,
-            floor * 100.0,
-        )),
-        E::ResumeMismatch(msg) => CliError::Inconsistent(format!(
-            "--resume checkpoint does not match this run: {msg}"
-        )),
-        other => CliError::Inconsistent(other.to_string()),
-    }
-}
-
-/// The `--shards` arm of `profile`: supervised sharded profiling over a
-/// v2 trace with retry, quarantine, and durable per-shard checkpoints.
-fn profile_sharded_run(
-    args: &ArgMap,
-    program: &Program,
-    cache: CacheConfig,
-    selector: PopularitySelector,
-    pair_db: bool,
-    shards: usize,
-    mode: ReadMode,
-) -> Result<ProfileData, CliError> {
-    let path = args.require("trace")?.to_string();
-    let jobs: usize = args.get_or("jobs", 0)?;
-    let retries: u32 = args.get_or("retries", 2)?;
-    let warmup_records: Option<u64> = args.get_parsed("warmup-records")?;
-    let deadline_ms: Option<u64> = args.get_parsed("shard-deadline-ms")?;
-    let coverage_floor: f64 = args.get_or("coverage-floor", 1.0)?;
-    let checkpoint_dir = args.get("checkpoint-dir").map(PathBuf::from);
-    let resume = args.switch("resume");
-    // Sharded profiling streams every shard; any memory budget is satisfied.
-    let _ = args.get_parsed::<u64>("max-memory")?;
-    args.finish()?;
-    if shards == 0 {
-        return Err(CliError::Usage("--shards must be at least 1".to_string()));
-    }
-    if matches!(mode, ReadMode::Lossy) {
-        return Err(CliError::Usage(
-            "--shards needs an intact trace (shard seams are CRC-framed); drop --lossy".to_string(),
-        ));
-    }
-    if resume && checkpoint_dir.is_none() {
-        return Err(CliError::Usage(
-            "--resume needs --checkpoint-dir to find the shard checkpoints".to_string(),
-        ));
-    }
-    if !(0.0..=1.0).contains(&coverage_floor) {
-        return Err(CliError::Usage(
-            "--coverage-floor must be within [0, 1]".to_string(),
-        ));
-    }
-    // Pin the checkpoints to this exact trace file: path plus byte size is
-    // enough to catch the regenerate-and-resume footgun cheaply.
-    let trace_bytes = std::fs::metadata(Path::new(&path))?.len();
-    let config = tempo::ShardConfig {
-        shards,
-        jobs,
-        warmup_records,
-        max_retries: retries,
-        coverage_floor,
-        shard_deadline: deadline_ms.map_or_else(Budget::unlimited, Budget::millis),
-        checkpoint_dir,
-        resume,
-        trace_fingerprint: Some(format!("{path}:{trace_bytes}")),
-        ..tempo::ShardConfig::default()
-    };
-    let (profile, report) = tempo::profile_sharded(
-        program,
-        cache,
-        selector,
-        pair_db,
-        Path::new(&path),
-        &config,
-        None,
-    )
-    .map_err(shard_cli_error)?;
-    for outcome in &report.outcomes {
-        if let tempo::ShardStatus::Quarantined { attempts, error } = &outcome.status {
-            eprintln!(
-                "tempo-cli: warning: shard at record {} ({} records) quarantined \
-                 after {attempts} attempt(s): {error}",
-                outcome.range.start, outcome.range.records
-            );
-        }
-    }
-    println!(
-        "sharded profile: {} shards ({} resumed, {} retries, {} quarantined), \
-         coverage {:.1}% of {} records",
-        report.outcomes.len(),
-        report.resumed(),
-        report.retried,
-        report.quarantined(),
-        report.coverage() * 100.0,
-        report.total_records,
-    );
-    Ok(profile)
-}
-
 /// `profile`: build WCG + TRGs (+ optional pair database) from a trace.
 ///
 /// With `--stream` the trace is never materialized: the profiler makes two
 /// streaming passes over the file (popularity, then the Q-pass) in
 /// O(#procedures) memory, producing the identical profile.
-///
-/// With `--shards N` the trace (v2 container only) is split at frame
-/// boundaries and profiled by a supervised worker pool: crashed or stalled
-/// shards are retried and, past the retry budget, quarantined; per-shard
-/// checkpoints under `--checkpoint-dir` make an interrupted run resumable
-/// with `--resume`.
 pub fn profile(args: &ArgMap) -> Result<(), CliError> {
     let program = load_program(args)?;
     let mode = trace_read_mode(args)?;
     let stream = args.switch("stream");
-    let shards: Option<usize> = args.get_parsed("shards")?;
     let cache = args.cache()?;
     let coverage: f64 = args.get_or("coverage", 0.995)?;
     let pair_db = args.switch("pair-db");
@@ -471,14 +351,7 @@ pub fn profile(args: &ArgMap) -> Result<(), CliError> {
     let selector = PopularitySelector::coverage(coverage).with_min_count(2);
 
     let span = tempo_obs::span("stage.profile");
-    let profile = if let Some(shards) = shards {
-        if stream {
-            return Err(CliError::Usage(
-                "--shards already streams each shard; drop --stream".to_string(),
-            ));
-        }
-        profile_sharded_run(args, &program, cache, selector, pair_db, shards, mode)?
-    } else if stream {
+    let profile = if stream {
         let path = args.require("trace")?.to_string();
         // Consume --max-memory if given: streaming satisfies any budget.
         let _ = args.get_parsed::<u64>("max-memory")?;
@@ -634,8 +507,8 @@ pub fn engine(args: &ArgMap) -> Result<(), CliError> {
     config.replace_threshold = replace_threshold;
     config.evaluate = evaluate || epochs_out.is_some();
 
-    // Frame-aligned epoch plan for v2 containers (the same alignment the
-    // sharded profiler uses); v1 traces chunk by plain record count.
+    // Frame-aligned epoch plan for v2 containers; v1 traces chunk by plain
+    // record count.
     let plan = {
         let mut r = open(&trace_path)?;
         let head = r.fill_buf()?;
@@ -1061,6 +934,13 @@ pub fn daemon(args: &ArgMap) -> Result<(), CliError> {
         config.replace_threshold,
     )
     .map_err(CliError::Usage)?;
+    if config.queue_capacity > tempo_daemon::MAX_QUEUE_CAPACITY {
+        return Err(CliError::Usage(format!(
+            "--queue must be at most {}, got {}",
+            tempo_daemon::MAX_QUEUE_CAPACITY,
+            config.queue_capacity
+        )));
+    }
     match (socket, tcp) {
         (Some(path), None) => {
             let server = Server::bind_unix(&path, config)?;

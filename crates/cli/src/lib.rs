@@ -96,17 +96,8 @@ commands:
   profile   --program FILE --trace FILE [--cache SIZExLINExASSOC]
             [--coverage F] [--pair-db] [--lossy|--strict]
             [--stream] [--max-memory MB] --out FILE
-            [--shards N] [--jobs N] [--retries N] [--shard-deadline-ms N]
-            [--coverage-floor F] [--warmup-records N]
-            [--checkpoint-dir DIR] [--resume]
       build WCG + TRGs from a trace; --stream profiles in two
-      constant-memory passes without materializing the trace;
-      --shards splits a v2 trace at frame boundaries and profiles the
-      pieces on a supervised worker pool (crashed/stalled shards are
-      retried then quarantined; the run fails if profiled coverage
-      drops below --coverage-floor, default 1.0); --checkpoint-dir
-      persists each finished shard so an interrupted run restarts
-      where it left off with --resume
+      constant-memory passes without materializing the trace
   place     --program FILE --profile FILE --algorithm NAME --out FILE
             [--map FILE] [--budget-ms N] [--budget-work N]
       run a placement algorithm (default|random[:SEED]|ph|hkc|gbsc|gbsc-sa|
@@ -155,9 +146,9 @@ commands:
             [--budget-work N] [--budget-ms N]
       run tempod, the multi-tenant placement server: each tenant gets
       its own incremental engine fed by TMP2 frames over the socket,
-      with bounded per-tenant queues (--queue) for backpressure and an
-      optional per-tenant admission budget metered in trace records;
-      serves until a client sends --shutdown
+      with bounded per-tenant queues (--queue, at most 65536) for
+      backpressure and an optional per-tenant admission budget metered
+      in trace records; serves until a client sends --shutdown
   client    (--socket PATH | --tcp ADDR) [--tenant NAME [--program FILE]]
             [--trace FILE] [--layout-out FILE|-] [--stats]
             [--server-stats] [--shutdown] [--inject drop|slow] [--seed N]

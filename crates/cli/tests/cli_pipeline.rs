@@ -487,6 +487,7 @@ fn out_of_range_numeric_flags_are_usage_errors() {
         ("profile", "--coverage", "2"),
         ("profile", "--coverage", "-1"),
         ("profile", "--coverage", "nan"),
+        ("profile", "--shards", "2"),
         ("engine", "--coverage", "2"),
         ("engine", "--coverage", "-1"),
         ("engine", "--coverage", "nan"),
@@ -495,6 +496,7 @@ fn out_of_range_numeric_flags_are_usage_errors() {
         ("daemon", "--coverage", "-1"),
         ("daemon", "--coverage", "nan"),
         ("daemon", "--replace-threshold", "nan"),
+        ("daemon", "--queue", "1000000000"),
         ("trace-stats", "--window", "0"),
     ] {
         let mut args = match command {

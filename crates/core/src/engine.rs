@@ -9,8 +9,7 @@
 //! item 1) sits on:
 //!
 //! 1. The trace is consumed in **epochs** (fixed record counts, or
-//!    frame-aligned ranges planned by [`plan_epochs`] in the style of
-//!    [`plan_shards`](crate::plan_shards)).
+//!    frame-aligned ranges planned by [`plan_epochs`]).
 //! 2. Each epoch is profiled and folded into a **decaying window**:
 //!    `window.decay(λ)`, then the epoch's profile stream folds its edge
 //!    tallies straight into the window
@@ -34,8 +33,7 @@
 //!    skipping placements does not change which layouts are adopted
 //!    relative to re-placing every epoch.
 //!
-//! Popular membership is pinned at the **first epoch** (exactly as the
-//! sharded profiler pins it globally before fan-out) so epoch profiles
+//! Popular membership is pinned at the **first epoch** so epoch profiles
 //! always merge; later epochs contribute their own reference counts over
 //! the pinned flags via [`PopularSet::from_parts`].
 //!
@@ -535,9 +533,8 @@ impl std::fmt::Debug for Engine<'_> {
 }
 
 /// Splits a scanned TMP2 frame list into epoch record counts of at least
-/// `epoch_records` each, aligned to frame boundaries — the epoch analogue
-/// of [`plan_shards`](crate::plan_shards). The final epoch absorbs any
-/// short tail. An empty trace yields no epochs.
+/// `epoch_records` each, aligned to frame boundaries. The final epoch
+/// absorbs any short tail. An empty trace yields no epochs.
 pub fn plan_epochs(frames: &[FrameEntry], epoch_records: u64) -> Vec<u64> {
     let target = epoch_records.max(1);
     let mut plan = Vec::new();

@@ -45,8 +45,8 @@
 //! ```
 //!
 //! The sub-crates are re-exported under their domain names: [`program`],
-//! [`trace`], [`cache`], [`trg`], [`place`], [`analyze`], [`workloads`],
-//! plus [`par`], the scoped worker pool behind every parallel sweep.
+//! [`trace`], [`cache`], [`trg`], [`place`], [`analyze`] and
+//! [`workloads`].
 
 // In the test build, `unwrap` IS the assertion.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::cast_possible_truncation))]
@@ -54,7 +54,6 @@
 pub use tempo_analyze as analyze;
 pub use tempo_cache as cache;
 pub use tempo_obs as obs;
-pub use tempo_par as par;
 pub use tempo_place as place;
 pub use tempo_program as program;
 pub use tempo_trace as trace;
@@ -64,17 +63,12 @@ pub use tempo_workloads as workloads;
 mod compare;
 mod engine;
 mod session;
-mod shard;
 
 pub use compare::{compare, Comparison, ComparisonRow};
 pub use engine::{
     check_engine_settings, plan_epochs, Engine, EngineConfig, EpochReport, MAX_EPOCH_RECORDS,
 };
 pub use session::{ProfiledSession, Session};
-pub use shard::{
-    plan_shards, profile_sharded, ShardConfig, ShardError, ShardFaultHook, ShardOutcome,
-    ShardRange, ShardReport, ShardStatus,
-};
 
 /// Convenient glob-import surface: the types used in almost every program.
 pub mod prelude {

@@ -86,9 +86,16 @@ pub struct DaemonConfig {
     /// default is unlimited.
     pub budget: Budget,
     /// Bound of each tenant's job queue — the backpressure depth. A full
-    /// queue blocks the sending connections instead of buffering.
+    /// queue blocks the sending connections instead of buffering. Clamped
+    /// to `1..=`[`MAX_QUEUE_CAPACITY`].
     pub queue_capacity: usize,
 }
+
+/// Largest tenant queue bound. A bounded channel allocates every slot up
+/// front when the tenant opens, so this caps that allocation (2 MiB per
+/// tenant) rather than letting one setting abort the whole server at its
+/// first `open`.
+pub const MAX_QUEUE_CAPACITY: usize = 1 << 16;
 
 impl DaemonConfig {
     /// A config with the `tempo engine` CLI defaults: GBSC, coverage

@@ -13,7 +13,7 @@ use tempo::trace::{Trace, TraceRecord};
 use tempo::{Engine, MAX_EPOCH_RECORDS};
 use tempo_obs::Registry;
 
-use crate::DaemonConfig;
+use crate::{DaemonConfig, MAX_QUEUE_CAPACITY};
 
 /// One job on a tenant's queue. Frames are fire-and-forget; queries
 /// carry a bounded reply channel, and because they ride the same queue
@@ -115,7 +115,7 @@ pub(crate) fn spawn(
     algorithm: Box<dyn PlacementAlgorithm + Send>,
     config: DaemonConfig,
 ) -> std::io::Result<Tenant> {
-    let (sender, receiver) = sync_channel(config.queue_capacity.max(1));
+    let (sender, receiver) = sync_channel(config.queue_capacity.clamp(1, MAX_QUEUE_CAPACITY));
     let registry = Arc::new(Registry::new());
     let thread = std::thread::Builder::new()
         .name(format!("tenant-{name}"))

@@ -187,98 +187,9 @@ fn complete_records(bytes: &[u8]) -> usize {
     bytes.len().saturating_sub(HEADER_LEN) / RECORD_LEN
 }
 
-/// One class of *runtime* fault injected into a sharded profiling run —
-/// the worker-level counterpart of the byte-level [`FaultClass`]
-/// injectors.
-///
-/// Where [`FaultClass`] corrupts the bytes a reader consumes, a
-/// [`RuntimeFault`] sabotages the worker consuming them: a kill (panic)
-/// exercises the supervisor's panic isolation and retry path, a stall
-/// exercises its per-shard deadline. Deliberately not `#[non_exhaustive]`
-/// for the same reason as `FaultClass`: the fault matrix matches on every
-/// class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RuntimeFault {
-    /// Panic inside the shard job — a worker that crashed mid-shard.
-    ShardKill,
-    /// Sleep inside the shard job for the given duration — a worker
-    /// wedged on slow I/O or a livelock, caught by the shard deadline.
-    ShardStall(std::time::Duration),
-}
-
-impl RuntimeFault {
-    /// Stable lowercase name, used in test output and CI logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            RuntimeFault::ShardKill => "shard-kill",
-            RuntimeFault::ShardStall(_) => "shard-stall",
-        }
-    }
-}
-
-impl std::fmt::Display for RuntimeFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A deterministic plan of runtime faults: shard `shard` is sabotaged
-/// with `fault` on every attempt strictly below `until_attempt`.
-///
-/// `until_attempt = 1` fails only the first try (the retry succeeds);
-/// `until_attempt > max_retries` fails every try and forces quarantine.
-#[derive(Debug, Clone)]
-pub struct RuntimeFaultPlan {
-    entries: Vec<(usize, u32, RuntimeFault)>,
-}
-
-impl RuntimeFaultPlan {
-    /// An empty plan (no faults fire).
-    pub fn new() -> Self {
-        RuntimeFaultPlan {
-            entries: Vec::new(),
-        }
-    }
-
-    /// Adds a fault: `shard` fails attempts `0..until_attempt`.
-    #[must_use]
-    pub fn fault(mut self, shard: usize, until_attempt: u32, fault: RuntimeFault) -> Self {
-        self.entries.push((shard, until_attempt, fault));
-        self
-    }
-
-    /// The fault (if any) scheduled for `(shard, attempt)`.
-    pub fn lookup(&self, shard: usize, attempt: u32) -> Option<RuntimeFault> {
-        self.entries
-            .iter()
-            .find(|(s, until, _)| *s == shard && attempt < *until)
-            .map(|(_, _, f)| *f)
-    }
-
-    /// Renders the plan as a supervisor hook: a `Fn(shard, attempt)`
-    /// closure that panics or stalls according to the schedule. Pass the
-    /// result to `tempo::profile_sharded`'s hook parameter.
-    pub fn hook(&self) -> impl Fn(usize, u32) + Sync + '_ {
-        move |shard, attempt| match self.lookup(shard, attempt) {
-            Some(RuntimeFault::ShardKill) => {
-                panic!("injected shard-kill: shard {shard} attempt {attempt}")
-            }
-            Some(RuntimeFault::ShardStall(d)) => std::thread::sleep(d),
-            None => {}
-        }
-    }
-}
-
-impl Default for RuntimeFaultPlan {
-    fn default() -> Self {
-        RuntimeFaultPlan::new()
-    }
-}
-
 /// One class of misbehaving *network client* — the connection-level
-/// counterpart of [`FaultClass`] (bad bytes) and [`RuntimeFault`] (bad
-/// workers), aimed at a server accepting framed trace streams (the
-/// `tempod` daemon).
+/// counterpart of [`FaultClass`] (bad bytes), aimed at a server accepting
+/// framed trace streams (the `tempod` daemon).
 ///
 /// A client fault does not corrupt the bytes themselves; it corrupts the
 /// *delivery*: the stream stops mid-message, or arrives in a pathological

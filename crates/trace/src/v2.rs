@@ -751,7 +751,7 @@ pub fn decode_frame(frame: &[u8]) -> Result<Vec<TraceRecord>, FrameDefect> {
 }
 
 // ---------------------------------------------------------------------
-// Frame scan (shard planning)
+// Frame scan (epoch planning)
 // ---------------------------------------------------------------------
 
 /// One frame's position and size as reported by [`scan_frames`].
@@ -769,7 +769,7 @@ pub struct FrameEntry {
 /// Scans a v2 stream's frame structure without decoding any records.
 ///
 /// Reads each 12-byte frame header and discards the payload, yielding one
-/// [`FrameEntry`] per frame. Sharded profiling uses this to split a trace
+/// [`FrameEntry`] per frame. The epoch engine uses this to split a trace
 /// into record ranges aligned to frame boundaries. The scan is strict about
 /// structure (magic, version, payload bounds, truncation) but does **not**
 /// verify CRCs or decode varints — a later reading pass still validates

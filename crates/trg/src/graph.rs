@@ -182,12 +182,11 @@ impl WeightedGraph {
     }
 
     /// Adds every edge of `other` into this graph, summing weights where
-    /// both graphs carry the edge — the shard-merge operation.
+    /// both graphs carry the edge — the profile-merge operation.
     ///
     /// Edge weights are integer event counts (each trace event adds 1.0),
     /// so merging is exact below 2^53 and therefore commutative and
-    /// associative: any merge order over any shard partition produces the
-    /// same graph.
+    /// associative: any merge order produces the same graph.
     pub fn merge_from(&mut self, other: &WeightedGraph) {
         for e in other.edges() {
             self.add_weight(e.a, e.b, e.w);

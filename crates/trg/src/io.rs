@@ -205,7 +205,7 @@ pub fn read_profile<R: BufRead>(r: R) -> Result<ProfileData, ProfileIoError> {
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or(ProfileIoError::BadLine { line: ln })?;
-    // Optional exact accumulators (absent in files written before shard
+    // Optional exact accumulators (absent in files written before profile
     // merging existed; such profiles merge with zero weight on `average`).
     let occupancy_sum: u64 = match parts.next() {
         None => 0,

@@ -152,7 +152,7 @@ impl PairDb {
     }
 
     /// Adds every association of `other` into this database, summing
-    /// weights — the shard-merge operation. Counts are integer event
+    /// weights — the profile-merge operation. Counts are integer event
     /// tallies, so merging is exact, commutative, and associative.
     pub fn merge_from(&mut self, other: &PairDb) {
         for (&p, theirs) in &other.rows {

@@ -207,16 +207,16 @@ impl PopularSet {
 
     /// Returns `true` when both sets mark exactly the same procedures
     /// popular (including covering the same number of procedures) — the
-    /// compatibility requirement for shard-count merging.
+    /// compatibility requirement for merging profiles.
     pub fn same_membership(&self, other: &PopularSet) -> bool {
         self.popular == other.popular
     }
 
     /// Adds `other`'s reference counts into this set, entry by entry.
     ///
-    /// Shard profiles carry globally decided membership flags paired with
-    /// the counts observed in their own trace range; merging sums the
-    /// ranges' counts back into the global totals.
+    /// Epoch profiles carry pinned membership flags paired with the counts
+    /// observed in their own trace range; merging sums the ranges' counts
+    /// back into the window's totals.
     ///
     /// # Panics
     ///

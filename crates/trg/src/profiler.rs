@@ -140,8 +140,8 @@ pub struct QStats {
     /// Maximum number of procedures resident in `Q`.
     pub max: usize,
     /// Sum of live-entry counts over all occupancy samples — the exact
-    /// integer numerator behind `average`, carried so shard statistics
-    /// merge without precision loss.
+    /// integer numerator behind `average`, carried so merged statistics
+    /// lose no precision.
     pub occupancy_sum: u64,
     /// Number of occupancy samples — the exact denominator behind
     /// `average`.
@@ -149,10 +149,9 @@ pub struct QStats {
 }
 
 impl QStats {
-    /// Combines shard statistics: the integer accumulators add, `max`
-    /// takes the maximum, and `average` is recomputed from the exact
-    /// sums — so any merge order over any shard partition reproduces the
-    /// sequential average bit-for-bit.
+    /// Combines two profiles' statistics: the integer accumulators add,
+    /// `max` takes the maximum, and `average` is recomputed from the exact
+    /// sums — so any merge order reproduces the same average bit-for-bit.
     pub fn merge_from(&mut self, other: &QStats) {
         self.occupancy_sum += other.occupancy_sum;
         self.samples += other.samples;
@@ -196,14 +195,14 @@ impl QStats {
     }
 }
 
-/// Why two shard profiles refused to [`merge`](ProfileData::merge).
+/// Why two profiles refused to [`merge`](ProfileData::merge).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MergeError {
     /// The profiles were gathered for different cache geometries.
     CacheMismatch,
-    /// The popular sets disagree on length or membership (shards must
-    /// share the globally decided popular set).
+    /// The popular sets disagree on length or membership (merged
+    /// profiles must share one pinned popular set).
     PopularMismatch,
     /// One profile carries a pair database and the other does not.
     PairDbMismatch,
@@ -304,16 +303,14 @@ pub struct ProfileData {
 }
 
 impl ProfileData {
-    /// Merges `other` (a shard profile) into `self`, summing graph
-    /// weights, pair-database counts, popular reference counts, and the
-    /// exact Q-occupancy accumulators.
+    /// Merges `other` into `self`, summing graph weights, pair-database
+    /// counts, popular reference counts, and the exact Q-occupancy
+    /// accumulators.
     ///
     /// All summed quantities are integer event counts, so the operation
-    /// is commutative and associative: merging the shard profiles of any
-    /// partition of a trace, in any order, produces one result — and when
-    /// every shard warmed up over its full prefix (see
-    /// [`ProfileStream::observe_warmup`]), that result is identical to
-    /// the sequential profile.
+    /// is commutative and associative: merging any set of profiles, in
+    /// any order, produces one result. The epoch engine folds every epoch
+    /// into its window through this operation (DESIGN.md §15).
     ///
     /// # Errors
     ///
@@ -378,9 +375,9 @@ impl ProfileData {
     /// `factor < 1.0` each weight is scaled by one IEEE multiplication —
     /// deterministic for a given profile, but **decay does not distribute
     /// over [`merge`](ProfileData::merge)**: `decay` then `merge` is only
-    /// guaranteed equal to merging pre-decayed shards when `factor` is
-    /// 1.0, so apply decay at one fixed point in the epoch loop, never
-    /// inside a shard fan-out (see DESIGN.md §15).
+    /// guaranteed equal to merging pre-decayed profiles when `factor` is
+    /// 1.0, so apply decay at one fixed point in the epoch loop (see
+    /// DESIGN.md §15).
     ///
     /// # Panics
     ///
@@ -629,8 +626,6 @@ impl<'p> Profiler<'p> {
             prev: None,
             records: 0,
             warnings: ProfileWarnings::default(),
-            evict_base_proc: 0,
-            evict_base_chunk: 0,
         }
     }
 }
@@ -657,10 +652,6 @@ pub struct ProfileStream<'p> {
     prev: Option<tempo_program::ProcId>,
     records: u64,
     warnings: ProfileWarnings,
-    /// Eviction counts at the warm-up → measurement transition, so the
-    /// observability counters report measured-range evictions only.
-    evict_base_proc: u64,
-    evict_base_chunk: u64,
 }
 
 impl ProfileStream<'_> {
@@ -725,52 +716,6 @@ impl ProfileStream<'_> {
                 }
             }
         }
-    }
-
-    /// Replays one record for shard warm-up: the Q-sets and the
-    /// previous-procedure state advance exactly as
-    /// [`observe`](ProfileStream::observe) would move them, but no edges,
-    /// record counts, or warning tallies are recorded — those records
-    /// belong to a preceding shard's measured range, which accounts for
-    /// them.
-    ///
-    /// Because Q-set contents are determined by the reference history, a
-    /// shard that warms up over its **entire** trace prefix reconstructs
-    /// the sequential profiler's exact state at its start position, so
-    /// the merged shard profiles equal the sequential profile
-    /// bit-for-bit. Capping the warm-up window trades that exactness for
-    /// speed: blocks whose reuse distance exceeds the window are missing
-    /// from `Q` at measurement start, which can only *drop* seam-local
-    /// TRG increments, never invent them (see DESIGN.md §13).
-    ///
-    /// After the warm-up prefix, call
-    /// [`begin_measurement`](ProfileStream::begin_measurement) once, then
-    /// switch to `observe`.
-    pub fn observe_warmup(&mut self, record: &TraceRecord) {
-        if record.proc.as_usize() >= self.program.len() || record.bytes == 0 {
-            return;
-        }
-        self.prev = Some(record.proc);
-        if !self.popular.is_popular(record.proc) {
-            return;
-        }
-        let size = self.program.size_of(record.proc);
-        self.q_proc.process_with(record.proc.index(), size, |_| {});
-        for (chunk, len) in chunk_refs(self.program, record.proc, record.bytes.min(size)) {
-            self.q_chunk.process_with(chunk, len, |_| {});
-        }
-    }
-
-    /// Marks the warm-up → measurement transition: occupancy statistics
-    /// and eviction baselines gathered while replaying the warm-up prefix
-    /// are discarded, so [`QStats`] and the eviction counters cover
-    /// exactly the measured range. The Q-set *contents* are kept — they
-    /// are the point of warming up.
-    pub fn begin_measurement(&mut self) {
-        self.q_proc.reset_occupancy();
-        self.q_chunk.reset_occupancy();
-        self.evict_base_proc = self.q_proc.evictions();
-        self.evict_base_chunk = self.q_chunk.evictions();
     }
 
     /// Consumes an entire source, observing every record, and reports the
@@ -870,10 +815,8 @@ impl ProfileStream<'_> {
     /// edge counts of its WCG, `TRG_select` and `TRG_place`.
     fn note_pass(&self, [wcg, trg_select, trg_place]: [usize; 3]) {
         tempo_obs::counter("profile.records").add(self.records);
-        tempo_obs::counter("profile.qset_proc_evictions")
-            .add(self.q_proc.evictions() - self.evict_base_proc);
-        tempo_obs::counter("profile.qset_chunk_evictions")
-            .add(self.q_chunk.evictions() - self.evict_base_chunk);
+        tempo_obs::counter("profile.qset_proc_evictions").add(self.q_proc.evictions());
+        tempo_obs::counter("profile.qset_chunk_evictions").add(self.q_chunk.evictions());
         tempo_obs::counter("profile.wcg_edges").add(wcg as u64);
         tempo_obs::counter("profile.trg_select_edges").add(trg_select as u64);
         tempo_obs::counter("profile.trg_place_edges").add(trg_place as u64);
@@ -1159,62 +1102,6 @@ mod tests {
             batch.trg_place.total_weight()
         );
         assert_eq!(streamed.q_stats, batch.q_stats);
-    }
-
-    /// Global membership flags paired with the reference counts of one
-    /// shard's measured range — what the sharded pipeline hands each shard.
-    fn shard_popular(global: &PopularSet, p: &Program, records: &[TraceRecord]) -> PopularSet {
-        let flags: Vec<bool> = (0..p.len())
-            .map(|i| global.is_popular(ProcId::new(i as u32)))
-            .collect();
-        let mut counts = vec![0u64; p.len()];
-        for r in records {
-            if r.proc.as_usize() < p.len() {
-                counts[r.proc.as_usize()] += 1;
-            }
-        }
-        PopularSet::from_parts(flags, counts)
-    }
-
-    #[test]
-    fn sharded_warmup_merge_equals_sequential() {
-        let p = program();
-        let t = trace1(&p, 25);
-        let cache = CacheConfig::direct_mapped_8k();
-        let global = PopularitySelector::all().select(&p, &t);
-        let sequential = Profiler::new(&p, cache)
-            .with_popular(global.clone())
-            .profile(&t);
-
-        let records: Vec<TraceRecord> = t.iter().copied().collect();
-        let mid = records.len() / 2;
-
-        let mut s0 =
-            Profiler::new(&p, cache).into_stream(shard_popular(&global, &p, &records[..mid]));
-        for r in &records[..mid] {
-            s0.observe(r);
-        }
-        let prof0 = s0.finish();
-
-        let mut s1 =
-            Profiler::new(&p, cache).into_stream(shard_popular(&global, &p, &records[mid..]));
-        for r in &records[..mid] {
-            s1.observe_warmup(r);
-        }
-        s1.begin_measurement();
-        for r in &records[mid..] {
-            s1.observe(r);
-        }
-        let prof1 = s1.finish();
-
-        let mut merged = prof0.clone();
-        merged.merge(&prof1).unwrap();
-        assert_eq!(merged, sequential, "full-prefix warm-up must be exact");
-
-        // Commutativity: the opposite merge order is the same profile.
-        let mut swapped = prof1.clone();
-        swapped.merge(&prof0).unwrap();
-        assert_eq!(swapped, sequential);
     }
 
     #[test]

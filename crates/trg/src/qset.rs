@@ -268,7 +268,7 @@ impl QSet {
 
     /// Sum of live-entry counts over all occupancy samples — the exact
     /// integer numerator behind [`average_occupancy`](QSet::average_occupancy),
-    /// exposed so shard statistics can be merged without losing precision.
+    /// exposed so merged statistics lose no precision.
     pub fn occupancy_sum(&self) -> u64 {
         self.occupancy_sum
     }
@@ -276,16 +276,6 @@ impl QSet {
     /// Number of occupancy samples taken (one per processed reference).
     pub fn occupancy_samples(&self) -> u64 {
         self.occupancy_samples
-    }
-
-    /// Resets the occupancy statistics (sum, samples, max) without touching
-    /// the live set. A shard profiler calls this at its warm-up →
-    /// measurement transition so occupancy covers only the measured range;
-    /// the warm-up records are sampled by the shard that owns them.
-    pub fn reset_occupancy(&mut self) {
-        self.occupancy_sum = 0;
-        self.occupancy_samples = 0;
-        self.occupancy_max = 0;
     }
 
     /// Capacity evictions performed so far (the §3 maintenance rule
@@ -421,25 +411,6 @@ mod tests {
         assert_eq!(q.max_occupancy(), 2);
         let avg = q.average_occupancy();
         assert!((avg - (1.0 + 2.0 + 2.0) / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_occupancy_keeps_live_state() {
-        let mut q = QSet::new(10_000);
-        q.process(0, 10);
-        q.process(1, 10);
-        assert_eq!(q.occupancy_samples(), 2);
-        q.reset_occupancy();
-        assert_eq!(q.occupancy_sum(), 0);
-        assert_eq!(q.occupancy_samples(), 0);
-        assert_eq!(q.max_occupancy(), 0);
-        assert_eq!(q.average_occupancy(), 0.0);
-        // Live contents and history survive the reset.
-        assert!(q.contains(0) && q.contains(1));
-        let ev = q.process(0, 10);
-        assert!(ev.had_previous);
-        assert_eq!(ev.interleaved, vec![1]);
-        assert_eq!(q.occupancy_samples(), 1);
     }
 
     #[test]

@@ -202,15 +202,13 @@ proptest! {
 
 /// The Q-pass written event by event from the public building blocks:
 /// one `QSet::process` per block reference, one `add_weight(.., 1.0)` per
-/// TRG event and one `PairDb::add(.., 1.0)` per pair event. `warmup`
-/// records only advance the Q-sets and the previous procedure.
+/// TRG event and one `PairDb::add(.., 1.0)` per pair event.
 fn reference_profile(
     program: &Program,
     cache: CacheConfig,
     popular: &PopularSet,
     pair_db: bool,
-    warmup: &[TraceRecord],
-    measured: &[TraceRecord],
+    records: &[TraceRecord],
 ) -> ProfileData {
     let bound = 2 * u64::from(cache.size());
     let (mut q_proc, mut q_chunk) = (QSet::new(bound), QSet::new(bound));
@@ -219,46 +217,36 @@ fn reference_profile(
     let mut trg_place = WeightedGraph::new();
     let mut db = pair_db.then(PairDb::new);
     let mut prev: Option<ProcId> = None;
-    for (phase, measure) in [(warmup, false), (measured, true)] {
-        if measure {
-            q_proc.reset_occupancy(); // begin_measurement
+    for r in records {
+        if r.proc.as_usize() >= program.len() || r.bytes == 0 {
+            continue;
         }
-        for r in phase {
-            if r.proc.as_usize() >= program.len() || r.bytes == 0 {
-                continue;
+        if let Some(p) = prev {
+            if p != r.proc {
+                wcg.add_weight(p.index(), r.proc.index(), 1.0);
             }
-            if let Some(p) = prev {
-                if measure && p != r.proc {
-                    wcg.add_weight(p.index(), r.proc.index(), 1.0);
-                }
+        }
+        prev = Some(r.proc);
+        if !popular.is_popular(r.proc) {
+            continue;
+        }
+        let size = program.size_of(r.proc);
+        let ev = q_proc.process(r.proc.index(), size);
+        for &o in &ev.interleaved {
+            trg_select.add_weight(r.proc.index(), o, 1.0);
+        }
+        let bytes = r.bytes.min(size);
+        let first = program.chunks_of(r.proc).start;
+        for k in 0..=(bytes - 1) / program.chunk_size() {
+            let chunk = first + k;
+            let ev = q_chunk.process(chunk, program.chunk_len(ChunkId::new(chunk)));
+            for &o in &ev.interleaved {
+                trg_place.add_weight(chunk, o, 1.0);
             }
-            prev = Some(r.proc);
-            if !popular.is_popular(r.proc) {
-                continue;
-            }
-            let size = program.size_of(r.proc);
-            let ev = q_proc.process(r.proc.index(), size);
-            if measure {
-                for &o in &ev.interleaved {
-                    trg_select.add_weight(r.proc.index(), o, 1.0);
-                }
-            }
-            let bytes = r.bytes.min(size);
-            let first = program.chunks_of(r.proc).start;
-            for k in 0..=(bytes - 1) / program.chunk_size() {
-                let chunk = first + k;
-                let ev = q_chunk.process(chunk, program.chunk_len(ChunkId::new(chunk)));
-                if !measure {
-                    continue;
-                }
-                for &o in &ev.interleaved {
-                    trg_place.add_weight(chunk, o, 1.0);
-                }
-                if let Some(db) = db.as_mut() {
-                    for (i, &a) in ev.interleaved.iter().enumerate() {
-                        for &b in &ev.interleaved[i + 1..] {
-                            db.add(chunk, a, b, 1.0);
-                        }
+            if let Some(db) = db.as_mut() {
+                for (i, &a) in ev.interleaved.iter().enumerate() {
+                    for &b in &ev.interleaved[i + 1..] {
+                        db.add(chunk, a, b, 1.0);
                     }
                 }
             }
@@ -289,9 +277,8 @@ prop_compose! {
         cache_log in 8u32..12,
         raw in prop::collection::vec((0u32..14, 0u32..4, 0u32..2000), 0..300),
         popular_bits in any::<u64>(),
-        split in 0usize..300,
         pair_db in any::<bool>(),
-    ) -> (Program, CacheConfig, PopularSet, Vec<TraceRecord>, usize, bool) {
+    ) -> (Program, CacheConfig, PopularSet, Vec<TraceRecord>, bool) {
         let mut b = Program::builder();
         b.chunk_size(1 << chunk_log);
         for (i, s) in sizes.iter().enumerate() {
@@ -314,15 +301,14 @@ prop_compose! {
                 TraceRecord::new(id, bytes)
             })
             .collect();
-        let split = split.min(records.len());
         let mut counts = vec![0u64; n];
-        for r in &records[split..] {
+        for r in &records {
             if let Some(c) = counts.get_mut(r.proc.as_usize()) {
                 *c += 1;
             }
         }
         let popular = PopularSet::from_parts(flags, counts);
-        (program, cache, popular, records, split, pair_db)
+        (program, cache, popular, records, pair_db)
     }
 }
 
@@ -331,22 +317,15 @@ proptest! {
 
     #[test]
     fn profiler_matches_per_event_reference(case in q_pass_case()) {
-        let (program, cache, popular, records, split, pair_db) = case;
-        let (warmup, measured) = records.split_at(split);
+        let (program, cache, popular, records, pair_db) = case;
         let mut stream = Profiler::new(&program, cache)
             .with_pair_db(pair_db)
             .into_stream(popular.clone());
-        for r in warmup {
-            stream.observe_warmup(r);
-        }
-        if split > 0 {
-            stream.begin_measurement();
-        }
-        for r in measured {
+        for r in &records {
             stream.observe(r);
         }
         let got = stream.finish();
-        let want = reference_profile(&program, cache, &popular, pair_db, warmup, measured);
+        let want = reference_profile(&program, cache, &popular, pair_db, &records);
         prop_assert!(got == want, "profile differs from the reference:\n{got:?}\nvs\n{want:?}");
     }
 }

@@ -1,26 +1,16 @@
-//! Sharded-profiling integration and property tests: the merge algebra
-//! on [`ProfileData`] and the shard-equivalence contract of
-//! [`tempo::profile_sharded`].
+//! Property tests of the merge algebra on [`ProfileData`], the operation
+//! the epoch engine folds every epoch's profile into its window through
+//! (DESIGN.md §13, §15).
 //!
 //! The merge is commutative and associative because every summed
 //! quantity is an integer event count (exact in f64 far below 2^53) and
 //! the Q-statistics average is recomputed from exact integer
-//! accumulators. Sharding with the default full-prefix warm-up is
-//! *exact*: a shard replays its whole trace prefix through the Q-sets
-//! before measuring, reconstructing the sequential state bit for bit,
-//! so the merged profile equals the sequential one on any workload at
-//! any shard count.
+//! accumulators.
 
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)] // test code asserts by panicking
 
-use std::fs::File;
-use std::io::BufReader;
-
 use proptest::prelude::*;
 use tempo::prelude::*;
-use tempo::trace::v2::V2Source;
-use tempo::workloads::suite;
-use tempo::{profile_sharded, ShardConfig};
 
 // ---------------------------------------------------------------------
 // Helpers
@@ -35,9 +25,9 @@ fn fixture_program(sizes: &[u32]) -> Program {
 }
 
 /// Profiles one trace segment into a standalone [`ProfileData`] under a
-/// shared every-procedure-popular membership — the shape real shard
-/// profiles have (global flags pinned before the shards run), so any two
-/// segment profiles over the same program are merge-compatible.
+/// shared every-procedure-popular membership — the shape epoch profiles
+/// have (flags pinned at the first epoch), so any two segment profiles
+/// over the same program are merge-compatible.
 fn segment_profile(program: &Program, refs: &[usize]) -> ProfileData {
     let ids: Vec<ProcId> = program.ids().collect();
     let trace = Trace::from_full_records(program, refs.iter().map(|&i| ids[i]));
@@ -54,17 +44,13 @@ fn segment_profile(program: &Program, refs: &[usize]) -> ProfileData {
     stream.finish()
 }
 
-fn write_v2(path: &std::path::Path, trace: &Trace) {
-    tempo::trace::testkit::write_v2_file(path, &mut MemorySource::new(trace)).unwrap();
-}
-
 // ---------------------------------------------------------------------
 // Merge algebra: commutative, associative, identity
 // ---------------------------------------------------------------------
 
 prop_compose! {
     // Three random reference streams over one shared random program.
-    fn three_shard_profiles()(
+    fn three_segment_profiles()(
         sizes in prop::collection::vec(16u32..4000, 2..12),
     )(
         a in prop::collection::vec(0..sizes.len(), 1..120),
@@ -80,7 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn merge_is_commutative((program, a, b, _c) in three_shard_profiles()) {
+    fn merge_is_commutative((program, a, b, _c) in three_segment_profiles()) {
         let pa = segment_profile(&program, &a);
         let pb = segment_profile(&program, &b);
 
@@ -92,7 +78,7 @@ proptest! {
     }
 
     #[test]
-    fn merge_is_associative((program, a, b, c) in three_shard_profiles()) {
+    fn merge_is_associative((program, a, b, c) in three_segment_profiles()) {
         let pa = segment_profile(&program, &a);
         let pb = segment_profile(&program, &b);
         let pc = segment_profile(&program, &c);
@@ -110,137 +96,11 @@ proptest! {
     }
 
     #[test]
-    fn merging_an_empty_profile_is_identity((program, a, _b, _c) in three_shard_profiles()) {
+    fn merging_an_empty_profile_is_identity((program, a, _b, _c) in three_segment_profiles()) {
         let pa = segment_profile(&program, &a);
         let empty = segment_profile(&program, &[]);
         let mut merged = pa.clone();
         merged.merge(&empty).unwrap();
         prop_assert!(merged == pa, "the empty profile is the merge identity");
     }
-}
-
-// ---------------------------------------------------------------------
-// Sharded(k) · merge ≡ sequential on the Table 1 workloads
-// ---------------------------------------------------------------------
-
-#[test]
-fn sharded_profile_equals_sequential_on_every_table1_workload() {
-    const RECORDS: usize = 12_000;
-    let selector = PopularitySelector::coverage(0.995).with_min_count(2);
-    let cache = CacheConfig::direct_mapped_8k();
-
-    for model in suite::standard_suite() {
-        let program = model.program();
-        let trace = model.training_trace(RECORDS);
-        let path = std::env::temp_dir().join(format!(
-            "tempo-sharding-eq-{}-{}.tmp2",
-            model.name(),
-            std::process::id()
-        ));
-        write_v2(&path, &trace);
-
-        let sequential = Profiler::new(program, cache)
-            .popularity(selector)
-            .profile(&trace);
-        // Sanity: the on-disk container round-trips the trace (so the
-        // sharded runs below read exactly what the sequential run saw).
-        {
-            let mut source = V2Source::new(BufReader::new(File::open(&path).unwrap())).unwrap();
-            let mut reread = Trace::new();
-            pump(&mut source, &mut reread).unwrap();
-            assert_eq!(reread, trace, "{}: v2 round-trip", model.name());
-        }
-
-        for k in [1usize, 2, 7] {
-            let config = ShardConfig {
-                shards: k,
-                jobs: 2,
-                ..ShardConfig::default()
-            };
-            let (merged, report) =
-                profile_sharded(program, cache, selector, false, &path, &config, None)
-                    .unwrap_or_else(|e| panic!("{} at k={k}: {e}", model.name()));
-            assert_eq!(
-                report.quarantined(),
-                0,
-                "{} at k={k}: no faults injected, nothing may quarantine",
-                model.name()
-            );
-            assert!(
-                (report.coverage() - 1.0).abs() < f64::EPSILON,
-                "{} at k={k}: full coverage",
-                model.name()
-            );
-            assert!(
-                merged == sequential,
-                "{} at k={k}: merged sharded profile must equal the sequential profile",
-                model.name()
-            );
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint/resume: a fresh run and a resumed run agree
-// ---------------------------------------------------------------------
-
-#[test]
-fn resume_from_checkpoints_reproduces_the_uninterrupted_profile() {
-    const RECORDS: usize = 8_000;
-    let selector = PopularitySelector::coverage(0.995).with_min_count(2);
-    let cache = CacheConfig::direct_mapped_8k();
-    let model = suite::m88ksim();
-    let program = model.program();
-    let trace = model.training_trace(RECORDS);
-
-    let dir = std::env::temp_dir().join(format!("tempo-sharding-resume-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("trace.tmp2");
-    write_v2(&path, &trace);
-
-    let ckpt = dir.join("ckpt");
-    let config = ShardConfig {
-        shards: 4,
-        jobs: 2,
-        checkpoint_dir: Some(ckpt.clone()),
-        trace_fingerprint: Some("resume-test".to_string()),
-        ..ShardConfig::default()
-    };
-    let (fresh, fresh_report) =
-        profile_sharded(program, cache, selector, false, &path, &config, None).unwrap();
-    assert_eq!(fresh_report.resumed(), 0);
-
-    // Second run over the same checkpoint dir: every shard must resume
-    // from its checkpoint, and the merged result must be unchanged.
-    let resume_config = ShardConfig {
-        resume: true,
-        ..config
-    };
-    let (resumed, resumed_report) =
-        profile_sharded(program, cache, selector, false, &path, &resume_config, None).unwrap();
-    assert_eq!(
-        resumed_report.resumed(),
-        fresh_report.completed(),
-        "every completed shard resumes from its checkpoint"
-    );
-    assert!(
-        resumed == fresh,
-        "resumed merge must equal the uninterrupted merge"
-    );
-
-    // A mismatched fingerprint must refuse to resume, not silently mix
-    // checkpoints from a different trace.
-    let stale = ShardConfig {
-        trace_fingerprint: Some("a-different-trace".to_string()),
-        ..resume_config
-    };
-    let err = profile_sharded(program, cache, selector, false, &path, &stale, None).unwrap_err();
-    assert!(
-        matches!(err, tempo::ShardError::ResumeMismatch(_)),
-        "stale checkpoints are a resume mismatch, got: {err}"
-    );
-
-    std::fs::remove_file(&path).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
 }
