@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use tempo_obs::json::Str;
 use tempo_program::{ProcId, Program};
 
 use crate::bounds::MissBounds;
@@ -211,20 +212,20 @@ impl AnalysisReport {
             if i > 0 {
                 out.push(',');
             }
+            let procs = proc_names(program, &d.procs)
+                .iter()
+                .map(|n| Str(n).to_string())
+                .collect::<Vec<_>>()
+                .join(",");
+            let suggestion = d
+                .suggestion
+                .as_deref()
+                .map_or("null".to_string(), |s| Str(s).to_string());
             out.push_str(&format!(
-                "{{\"code\":{},\"severity\":{},\"message\":{},\"procedures\":[{}],\"suggestion\":{}}}",
-                json_string(d.code),
-                json_string(&d.severity.to_string()),
-                json_string(&d.message),
-                proc_names(program, &d.procs)
-                    .iter()
-                    .map(|n| json_string(n))
-                    .collect::<Vec<_>>()
-                    .join(","),
-                match &d.suggestion {
-                    Some(s) => json_string(s),
-                    None => "null".to_string(),
-                }
+                "{{\"code\":{},\"severity\":{},\"message\":{},\"procedures\":[{procs}],\"suggestion\":{suggestion}}}",
+                Str(d.code),
+                Str(&d.severity.to_string()),
+                Str(&d.message),
             ));
         }
         out.push(']');
@@ -259,28 +260,10 @@ pub(crate) fn proc_names(program: &Program, procs: &[ProcId]) -> Vec<String> {
         .collect()
 }
 
-/// Escapes a string as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempo_obs::json::Json;
 
     fn program() -> Program {
         Program::builder()
@@ -365,10 +348,18 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
+    /// The report goes through the shared escaper: control characters
+    /// as `\u00XX`, and the whole report parses as one JSON object.
     #[test]
     fn json_escapes_control_chars() {
-        assert_eq!(json_string("a\u{1}b"), "\"a\\u0001b\"");
-        assert_eq!(json_string("t\tn\n"), "\"t\\tn\\n\"");
+        let p = program();
+        let mut r = AnalysisReport::new();
+        r.push(Diagnostic::new("L004", Severity::Note, "a\u{1}b\tc").with_suggestion("t\tn\n"));
+        let json = r.render_json(&p);
+        assert!(json.contains(r#""message":"a\u0001b\tc""#), "{json}");
+        assert!(json.contains(r#""suggestion":"t\tn\n""#), "{json}");
+        let parsed = Json::parse(&json).unwrap();
+        assert_eq!(parsed.get("notes").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

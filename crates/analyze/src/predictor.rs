@@ -10,13 +10,14 @@
 use std::collections::HashMap;
 
 use tempo_cache::{classify, simulate, CacheConfig};
+use tempo_obs::json::{Num, Str};
 use tempo_place::metric::chunk_occupancy_covered;
 use tempo_program::{Layout, ProcId, Program};
 use tempo_trace::Trace;
 use tempo_trg::{ProfileData, WeightedGraph};
 
 use crate::bounds::{miss_bounds, MissBounds};
-use crate::diagnostics::{json_string, proc_names};
+use crate::diagnostics::proc_names;
 
 /// Occupancy pressure of one cache set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,11 +92,11 @@ impl ConflictPrediction {
                 let names = proc_names(program, &[p.a, p.b]);
                 format!(
                     "{{\"a\":{},\"b\":{},\"shared_lines\":{},\"weight\":{},\"miss_bound\":{}}}",
-                    json_string(&names[0]),
-                    json_string(&names[1]),
+                    Str(&names[0]),
+                    Str(&names[1]),
                     p.shared_lines,
-                    p.weight,
-                    p.miss_bound
+                    Num(p.weight),
+                    Num(p.miss_bound)
                 )
             })
             .collect::<Vec<_>>()
@@ -113,7 +114,11 @@ impl ConflictPrediction {
             .join(",");
         format!(
             "\"prediction\":{{\"cost\":{},\"sets\":{},\"pressured_sets\":{},\"hot_sets\":[{}],\"pairs\":[{}]}}",
-            self.predicted_cost, self.sets, self.pressured_sets, sets, pairs
+            Num(self.predicted_cost),
+            self.sets,
+            self.pressured_sets,
+            sets,
+            pairs
         )
     }
 }

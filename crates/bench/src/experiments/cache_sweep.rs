@@ -6,7 +6,7 @@
 //! algorithm re-profiled and re-placed per size, since the Q bound and the
 //! offset space depend on the geometry).
 //!
-//! This is the [`SweepRunner`](crate::sweep::SweepRunner) showcase: the
+//! This is the [`SweepRunner`] showcase: the
 //! 3 benchmarks × 4 cache sizes expand into 12 concurrent cells, each
 //! evaluating the full algorithm axis on one shared profile.
 //!

@@ -3,7 +3,7 @@
 //! The one-shot pipeline places once, on the training input, and the
 //! layout then rides out whatever the deployed workload does. This
 //! experiment measures what that costs under input drift, and what the
-//! incremental [`Engine`](tempo::Engine) buys back:
+//! incremental [`Engine`] buys back:
 //!
 //! 1. **frozen** — GBSC placed over the training trace, never touched
 //!    again; every epoch of the drifted (testing-input) stream is

@@ -25,9 +25,9 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use tempo::prelude::SimStats;
+use tempo_obs::json::Json;
 use tempo_par::{JobPanic, Pool};
 
-use crate::json::Json;
 use crate::CommonArgs;
 
 /// A failure inside an experiment body, surfaced as a value so the
@@ -699,7 +699,7 @@ fn display_path(p: &Path) -> String {
 impl RunAllReport {
     /// The machine-readable form written to `BENCH_run.json`.
     pub fn to_json(&self) -> Json {
-        Json::object(vec![
+        Json::Object(vec![
             ("schema".into(), Json::Number(1.0)),
             ("records".into(), opt_num(self.records)),
             ("runs".into(), opt_num(self.runs)),
@@ -737,7 +737,7 @@ impl RunAllReport {
                             if let Some(err) = &e.error {
                                 fields.push(("error".into(), Json::String(err.clone())));
                             }
-                            Json::object(fields)
+                            Json::Object(fields)
                         })
                         .collect(),
                 ),
@@ -1118,5 +1118,18 @@ mod tests {
         let verdict = check_regression(&cur, &base, 25.0, 70.0);
         assert_eq!(verdict.failures.len(), 1);
         assert!(verdict.failures[0].contains("misses drifted"));
+    }
+
+    /// The run record reads and re-renders byte for byte: the checked-in
+    /// baseline was written by `to_json().render_pretty()`.
+    #[test]
+    fn baseline_run_record_round_trips_byte_for_byte() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/bench_baseline.json"
+        );
+        let text = std::fs::read_to_string(path).unwrap();
+        let report = RunAllReport::from_json(&text).unwrap();
+        assert_eq!(report.to_json().render_pretty(), text);
     }
 }

@@ -17,7 +17,6 @@ pub use tempo_par;
 
 pub mod experiments;
 pub mod harness;
-pub mod json;
 pub mod sweep;
 
 /// Default number of trace records for training runs.

@@ -79,10 +79,7 @@ impl TraceSource for FileSource<'_> {
             } => (source.try_next()?, *validate, index),
         };
         if let (Some(r), Some(program)) = (&next, validate) {
-            let fits = r.proc.as_usize() < program.len()
-                && r.bytes >= 1
-                && r.bytes <= program.size_of(r.proc);
-            if !fits {
+            if !r.fits(program) {
                 return Err(TraceIoError::Io(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     format!("trace record {index} does not fit the program"),

@@ -734,7 +734,7 @@ fn metrics_out_writes_parseable_snapshot_and_stats_renders_it() {
 /// stage's counters and span timings, which `stats` renders.
 #[test]
 fn json_events_and_stage_snapshots_are_schema_stable() {
-    use tempo_bench::json::Json;
+    use tempo_obs::json::Json;
 
     let dir = workdir("obs-json");
     let p = |name: &str| dir.join(name).to_string_lossy().into_owned();

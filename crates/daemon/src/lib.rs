@@ -20,7 +20,7 @@
 //!   tenant's engine falls behind, senders block in `send`, which stops
 //!   reading their sockets, which fills the kernel buffers, which stalls
 //!   the clients: flow control end to end, no unbounded buffering.
-//! * **Admission** — a per-tenant [`Budget`](tempo::place::Budget) is
+//! * **Admission** — a per-tenant [`Budget`] is
 //!   metered in trace records; frames past the budget are rejected and
 //!   tallied, never silently dropped.
 //! * **Observability** — each tenant worker holds a

@@ -11,6 +11,7 @@ use tempo::program::Program;
 use tempo::trace::v2::decode_frame;
 use tempo::trace::{Trace, TraceRecord};
 use tempo::{Engine, MAX_EPOCH_RECORDS};
+use tempo_obs::json::Json;
 use tempo_obs::Registry;
 
 use crate::{DaemonConfig, MAX_QUEUE_CAPACITY};
@@ -73,18 +74,15 @@ impl Tally {
         )
     }
 
-    /// Parses [`to_json`](Tally::to_json) output back. Returns `None` if
-    /// any field is missing or malformed.
+    /// Parses [`to_json`](Tally::to_json) output back: one
+    /// [`Json::parse`] and six lookups. Returns `None` unless the text is
+    /// one JSON document whose six fields are all present and each an
+    /// exact integer (see [`Json::as_u64`]): a field that is missing,
+    /// negative, fractional, or not below 2^53 (`9007199254740992`, where
+    /// `f64` stops holding every integer) refuses the whole tally.
     pub fn from_json(text: &str) -> Option<Tally> {
-        let field = |name: &str| -> Option<u64> {
-            let key = format!("\"{name}\":");
-            let at = text.find(&key)? + key.len();
-            let digits: String = text[at..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            digits.parse().ok()
-        };
+        let doc = Json::parse(text).ok()?;
+        let field = |name: &str| doc.get(name).and_then(Json::as_u64);
         Some(Tally {
             frames: field("frames")?,
             records: field("records")?,
@@ -205,10 +203,7 @@ fn ingest_frame(
     // The per-record rule the strict offline reader enforces, applied at
     // frame granularity: one bad record rejects its frame, not the
     // session.
-    let fits = records.iter().all(|r| {
-        r.proc.as_usize() < program.len() && r.bytes >= 1 && r.bytes <= program.size_of(r.proc)
-    });
-    if !fits {
+    if !records.iter().all(|r| r.fits(program)) {
         tally.bad_frames += 1;
         tempo_obs::counter("daemon.tenant.bad_frames").incr();
         tempo_obs::event(
@@ -280,5 +275,38 @@ mod tests {
         assert_eq!(Tally::from_json(&t.to_json()), Some(t));
         assert_eq!(Tally::from_json("{}"), None);
         assert_eq!(Tally::from_json("not json"), None);
+    }
+
+    /// `to_json` bytes, pinned: the compact `SYNC` reply layout.
+    #[test]
+    fn tally_json_bytes_are_pinned() {
+        let t = Tally {
+            frames: 3,
+            records: 375,
+            bad_frames: 1,
+            budget_rejected: 2,
+            epochs: 9_007_199_254_740_991,
+            replacements: 0,
+        };
+        let text = r#"{"frames":3,"records":375,"bad_frames":1,"budget_rejected":2,"epochs":9007199254740991,"replacements":0}"#;
+        assert_eq!(t.to_json(), text);
+        assert_eq!(Tally::from_json(text), Some(t));
+    }
+
+    /// Any one bad field refuses the whole tally.
+    #[test]
+    fn tally_from_json_is_strict() {
+        let ok = r#"{"frames":3,"records":375,"bad_frames":1,"budget_rejected":2,"epochs":4,"replacements":0}"#;
+        assert!(Tally::from_json(ok).is_some());
+        for bad in [
+            r#"{"records":375,"bad_frames":1,"budget_rejected":2,"epochs":4,"replacements":0}"#,
+            r#"{"frames":-3,"records":375,"bad_frames":1,"budget_rejected":2,"epochs":4,"replacements":0}"#,
+            r#"{"frames":3,"records":375.5,"bad_frames":1,"budget_rejected":2,"epochs":4,"replacements":0}"#,
+            r#"{"frames":3,"records":375,"bad_frames":1,"budget_rejected":2,"epochs":9007199254740994,"replacements":0}"#,
+            r#"{"frames":3,"records":375,"bad_frames":1,"budget_rejected":2,"epochs":4,"replacements":"0"}"#,
+            r#"{"frames":3,"records":375,"bad_frames":1,"budget_rejected":2,"epochs":4,"replacements":0"#,
+        ] {
+            assert_eq!(Tally::from_json(bad), None, "{bad}");
+        }
     }
 }

@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::snapshot::{json_number, json_string};
+use crate::json::{Num, Str};
 
 /// How (and whether) events are emitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,18 +145,19 @@ pub fn format_event(
             line
         }
         LogFormat::Json => {
-            let mut line = String::from("{");
             use fmt::Write as _;
-            let _ = write!(line, "\"ts_ms\": {}", now_ms());
-            let _ = write!(line, ", \"stage\": {}", json_string(stage));
-            let _ = write!(line, ", \"event\": {}", json_string(message));
+            let mut line = format!(
+                "{{\"ts_ms\": {}, \"stage\": {}, \"event\": {}",
+                now_ms(),
+                Str(stage),
+                Str(message)
+            );
             for (k, v) in fields {
-                let rendered = match v {
-                    EventField::U64(n) => n.to_string(),
-                    EventField::F64(n) => json_number(*n),
-                    EventField::Str(s) => json_string(s),
+                let _ = match v {
+                    EventField::U64(n) => write!(line, ", {}: {n}", Str(k)),
+                    EventField::F64(n) => write!(line, ", {}: {}", Str(k), Num(*n)),
+                    EventField::Str(s) => write!(line, ", {}: {}", Str(k), Str(s)),
                 };
-                let _ = write!(line, ", {}: {rendered}", json_string(k));
             }
             line.push('}');
             line
@@ -181,7 +182,7 @@ fn now_ms() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::json;
+    use crate::json::Json;
 
     #[test]
     fn text_event_format() {
@@ -206,14 +207,37 @@ mod tests {
                 ("layout", "gbsc \"x\"".into()),
             ],
         );
-        let parsed = json::parse(&line).unwrap();
-        let obj = parsed.as_object().unwrap();
-        let get = |k: &str| obj.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone());
-        assert_eq!(get("stage"), Some(json::Value::String("simulate".into())));
-        assert_eq!(get("misses"), Some(json::Value::Number(7.0)));
+        let parsed = Json::parse(&line).unwrap();
+        assert_eq!(parsed.get("stage").and_then(Json::as_str), Some("simulate"));
+        assert_eq!(parsed.get("misses").and_then(Json::as_f64), Some(7.0));
         assert_eq!(
-            get("layout"),
-            Some(json::Value::String("gbsc \"x\"".into()))
+            parsed.get("layout").and_then(Json::as_str),
+            Some("gbsc \"x\"")
+        );
+    }
+
+    /// JSON event bytes, pinned (the clock masked): `", "` and `": "`
+    /// separators, escaped keys and values, the shared number rule.
+    #[test]
+    fn json_event_bytes_are_pinned() {
+        let line = format_event(
+            LogFormat::Json,
+            "simulate \"x\"",
+            "done\n",
+            &[
+                ("misses", 7u64.into()),
+                ("rate", 0.25f64.into()),
+                ("whole", 3.0f64.into()),
+                ("inf", f64::INFINITY.into()),
+                ("layout", "gbsc \"x\"\t\u{2}ü".into()),
+                ("k\"ey", "v".into()),
+            ],
+        );
+        let (head, rest) = line.split_at(line.find(", ").unwrap());
+        assert!(head.starts_with("{\"ts_ms\": "), "{head}");
+        assert_eq!(
+            rest,
+            r#", "stage": "simulate \"x\"", "event": "done\n", "misses": 7, "rate": 0.25, "whole": 3, "inf": 0, "layout": "gbsc \"x\"\t\u0002ü", "k\"ey": "v"}"#
         );
     }
 

@@ -23,6 +23,10 @@
 //! thread that holds a scope guard routes every free-function metric into
 //! its own [`Registry`] instead of the global one (DESIGN.md §16).
 //!
+//! Every JSON reader and writer in the workspace goes through [`json`],
+//! the one codec: a value type, a parser, and the shared string escaper
+//! and number rule (DESIGN.md §11).
+//!
 //! Structured events ([`event`]) are separate from metrics: they are
 //! emitted to stderr as they happen, in text or JSON-lines form, and are
 //! silenced by default (see [`set_log_format`]).
@@ -36,6 +40,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod event;
+pub mod json;
 mod metrics;
 mod registry;
 mod snapshot;

@@ -1,12 +1,12 @@
 //! Point-in-time registry snapshots: deterministic rendering (text and
 //! JSON) plus the matching parser.
 //!
-//! The JSON form is what `--metrics-out` writes and `tempo stats` reads,
-//! so this module carries its own minimal JSON reader — tempo-obs sits
-//! below every other crate and stays dependency-free.
+//! The JSON form is what `--metrics-out` writes and `tempo stats` reads;
+//! it goes through the shared codec in [`crate::json`].
 
 use std::fmt::Write as _;
 
+use crate::json::{Json, Num, Str};
 use crate::metrics::HistogramSummary;
 
 /// The snapshot file format version.
@@ -104,26 +104,26 @@ impl Snapshot {
                     let _ = writeln!(
                         out,
                         "    {}: {{\"type\": \"counter\", \"value\": {v}}}{comma}",
-                        json_string(name)
+                        Str(name)
                     );
                 }
                 MetricValue::Gauge(v) => {
                     let _ = writeln!(
                         out,
                         "    {}: {{\"type\": \"gauge\", \"value\": {}}}{comma}",
-                        json_string(name),
-                        json_number(*v)
+                        Str(name),
+                        Num(*v)
                     );
                 }
                 MetricValue::Histogram(h) => {
                     let _ = writeln!(
                         out,
                         "    {}: {{\"type\": \"histogram\", \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}{comma}",
-                        json_string(name),
+                        Str(name),
                         h.count,
-                        json_number(h.sum),
-                        json_number(h.min),
-                        json_number(h.max)
+                        Num(h.sum),
+                        Num(h.min),
+                        Num(h.max)
                     );
                 }
             }
@@ -139,27 +139,22 @@ impl Snapshot {
     /// Returns a message when the text is not valid JSON or does not
     /// follow the snapshot schema.
     pub fn parse_json(text: &str) -> Result<Snapshot, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object().ok_or("snapshot root must be an object")?;
-        let metrics = obj
-            .iter()
-            .find(|(k, _)| k == "metrics")
-            .map(|(_, v)| v)
-            .ok_or("snapshot missing `metrics` object")?;
-        let metrics = metrics.as_object().ok_or("`metrics` must be an object")?;
+        let value = Json::parse(text)?;
+        let metrics = value
+            .get("metrics")
+            .ok_or("snapshot missing `metrics` object")?
+            .as_object()
+            .ok_or("`metrics` must be an object")?;
         let mut entries = Vec::with_capacity(metrics.len());
         for (name, m) in metrics {
-            let fields = m
-                .as_object()
-                .ok_or_else(|| format!("metric `{name}` must be an object"))?;
-            let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
             let num = |key: &str| {
-                field(key)
-                    .and_then(json::Value::as_f64)
+                m.get(key)
+                    .and_then(Json::as_f64)
                     .ok_or_else(|| format!("metric `{name}` missing number `{key}`"))
             };
-            let kind = field("type")
-                .and_then(json::Value::as_str)
+            let kind = m
+                .get("type")
+                .and_then(Json::as_str)
                 .ok_or_else(|| format!("metric `{name}` missing `type`"))?;
             let value = match kind {
                 "counter" => {
@@ -182,256 +177,6 @@ impl Snapshot {
         }
         entries.sort_by(|(a, _), (b, _)| a.cmp(b));
         Ok(Snapshot { entries })
-    }
-}
-
-/// Renders a finite `f64` without scientific notation surprises; NaN and
-/// infinities become `0` (JSON has no spelling for them).
-pub(crate) fn json_number(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.0}")
-    } else {
-        format!("{v}")
-    }
-}
-
-/// JSON-escapes and quotes a string.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A minimal JSON reader, just wide enough for snapshot files.
-pub(crate) mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true`/`false`.
-        Bool(bool),
-        /// Any number (always carried as `f64`).
-        Number(f64),
-        /// A string.
-        String(String),
-        /// An array.
-        Array(Vec<Value>),
-        /// An object, in source order.
-        Object(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// The object's fields, if this is an object.
-        pub fn as_object(&self) -> Option<&Vec<(String, Value)>> {
-            match self {
-                Value::Object(fields) => Some(fields),
-                _ => None,
-            }
-        }
-
-        /// The number, if this is a number.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The string, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses one JSON document (trailing whitespace allowed).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message with a byte offset on malformed input.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-        if *pos < bytes.len() && bytes[*pos] == b {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, *pos))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
-            Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-            Some(_) => parse_number(bytes, pos),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn parse_keyword(
-        bytes: &[u8],
-        pos: &mut usize,
-        word: &str,
-        value: Value,
-    ) -> Result<Value, String> {
-        if bytes[*pos..].starts_with(word.as_bytes()) {
-            *pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", *pos))
-        }
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < bytes.len()
-            && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            *pos += 1;
-        }
-        std::str::from_utf8(&bytes[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Number)
-            .ok_or_else(|| format!("invalid number at byte {start}"))
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", *pos)),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // boundaries are valid).
-                    let rest = &bytes[*pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            skip_ws(bytes, pos);
-            expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
-            fields.push((key, value));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
-            }
-        }
     }
 }
 
@@ -504,15 +249,73 @@ mod tests {
         assert_eq!(snap.entries[0].0, "a");
     }
 
+    /// One snapshot with every metric kind, the number-rule cases and a
+    /// name that needs escaping.
+    fn every_kind() -> Snapshot {
+        let hist = |count, sum, min, max| {
+            MetricValue::Histogram(HistogramSummary {
+                count,
+                sum,
+                min,
+                max,
+            })
+        };
+        Snapshot {
+            entries: vec![
+                ("a.counter".into(), MetricValue::Counter(1_000_000)),
+                ("b.gauge".into(), MetricValue::Gauge(12_345.0)),
+                ("c.gauge".into(), MetricValue::Gauge(-2.5)),
+                ("d.gauge".into(), MetricValue::Gauge(0.1)),
+                ("e.gauge".into(), MetricValue::Gauge(1e15)),
+                ("f.gauge".into(), MetricValue::Gauge(123_456.789)),
+                ("g.hist".into(), hist(3, 20.25, 0.5, 12.5)),
+                ("h.empty".into(), hist(0, 0.0, 0.0, 0.0)),
+                ("i.nan".into(), MetricValue::Gauge(f64::NAN)),
+                ("weird \"name\"\\\t\u{1}é".into(), MetricValue::Counter(7)),
+            ],
+        }
+    }
+
+    /// `render_json` bytes, pinned to the layout `--metrics-out`, `tempo
+    /// stats` and tempod `STATS` have always used.
     #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    fn render_json_bytes_are_pinned() {
+        let expected = r#"{
+  "schema": 1,
+  "metrics": {
+    "a.counter": {"type": "counter", "value": 1000000},
+    "b.gauge": {"type": "gauge", "value": 12345},
+    "c.gauge": {"type": "gauge", "value": -2.5},
+    "d.gauge": {"type": "gauge", "value": 0.1},
+    "e.gauge": {"type": "gauge", "value": 1000000000000000},
+    "f.gauge": {"type": "gauge", "value": 123456.789},
+    "g.hist": {"type": "histogram", "count": 3, "sum": 20.25, "min": 0.5, "max": 12.5},
+    "h.empty": {"type": "histogram", "count": 0, "sum": 0, "min": 0, "max": 0},
+    "i.nan": {"type": "gauge", "value": 0},
+    "weird \"name\"\\\t\u0001é": {"type": "counter", "value": 7}
+  }
+}
+"#;
+        assert_eq!(every_kind().render_json(), expected);
     }
 
     #[test]
-    fn json_number_renders_integers_plainly() {
-        assert_eq!(json_number(5.0), "5");
-        assert_eq!(json_number(5.25), "5.25");
-        assert_eq!(json_number(f64::NAN), "0");
+    fn names_needing_escapes_round_trip() {
+        let snap = every_kind();
+        let parsed = Snapshot::parse_json(&snap.render_json()).unwrap();
+        assert_eq!(parsed.counter("weird \"name\"\\\t\u{1}é"), Some(7));
+    }
+
+    #[test]
+    fn gauges_follow_the_number_rule() {
+        let line = |v: f64| {
+            let snap = Snapshot {
+                entries: vec![("g".into(), MetricValue::Gauge(v))],
+            };
+            snap.render_json().lines().nth(3).unwrap().to_string()
+        };
+        assert_eq!(line(5.0), r#"    "g": {"type": "gauge", "value": 5}"#);
+        assert_eq!(line(5.25), r#"    "g": {"type": "gauge", "value": 5.25}"#);
+        assert_eq!(line(f64::NAN), r#"    "g": {"type": "gauge", "value": 0}"#);
     }
 }

@@ -65,11 +65,6 @@ impl Budget {
         }
     }
 
-    /// Limits wall-clock time to `ms` milliseconds.
-    pub fn millis(ms: u64) -> Self {
-        Budget::duration(Duration::from_millis(ms))
-    }
-
     /// Returns `true` when no limit is set.
     pub fn is_unlimited(&self) -> bool {
         self.max_work_units.is_none() && self.deadline.is_none()
@@ -469,7 +464,7 @@ mod tests {
         assert!(Budget::unlimited().is_unlimited());
         assert!(!Budget::work_units(5).is_unlimited());
         assert_eq!(
-            Budget::millis(250).deadline,
+            Budget::duration(Duration::from_millis(250)).deadline,
             Some(Duration::from_millis(250))
         );
         let both = Budget {

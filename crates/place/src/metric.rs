@@ -27,21 +27,11 @@ pub struct LineOccupant {
 /// occupies, which must not double-count it (a block cannot conflict with
 /// itself). The iteration is capped at `cache.lines()` positions per
 /// chunk, which visits every distinct line exactly once.
-#[allow(clippy::cast_possible_truncation)] // bounded by construction (see expression)
-pub fn chunk_occupancy(
-    program: &Program,
-    layout: &Layout,
-    cache: CacheConfig,
-) -> Vec<Vec<LineOccupant>> {
-    chunk_occupancy_covered(program, layout, cache)
-}
-
-/// Like [`chunk_occupancy`], but tolerates layouts that cover only a
-/// prefix of the program's procedure ids: chunks owned by uncovered
-/// procedures are simply absent from the occupancy. On a full layout the
-/// two functions are identical; on a truncated one this lets downstream
-/// consumers (the conflict predictor) still see pressure data for the
-/// covered subset instead of bailing out entirely.
+///
+/// Layouts that cover only a prefix of the program's procedure ids are
+/// tolerated: chunks owned by uncovered procedures are simply absent, so
+/// downstream consumers (the conflict predictor) still see pressure data
+/// for the covered subset instead of bailing out entirely.
 #[allow(clippy::cast_possible_truncation)] // bounded by construction (see expression)
 pub fn chunk_occupancy_covered(
     program: &Program,
@@ -79,7 +69,7 @@ pub fn trg_conflict_cost(
     trg_place: &WeightedGraph,
     cache: CacheConfig,
 ) -> f64 {
-    let occupancy: Vec<Vec<u32>> = chunk_occupancy(program, layout, cache)
+    let occupancy: Vec<Vec<u32>> = chunk_occupancy_covered(program, layout, cache)
         .iter()
         .map(|line| line.iter().map(|o| o.chunk.index()).collect())
         .collect();
@@ -237,7 +227,7 @@ mod tests {
             .build()
             .unwrap();
         let layout = Layout::source_order(&program);
-        let occ = chunk_occupancy(&program, &layout, cache);
+        let occ = chunk_occupancy_covered(&program, &layout, cache);
         assert_eq!(occ.len(), cache.lines() as usize);
         for line in &occ {
             assert_eq!(line.len(), 2, "both chunks resident exactly once");
@@ -259,12 +249,6 @@ mod tests {
         let occ = chunk_occupancy_covered(&program, &truncated, cache);
         assert!(occ.iter().flatten().all(|o| o.owner != ProcId::new(2)));
         assert!(occ.iter().flatten().any(|o| o.owner == ProcId::new(0)));
-        // On a full layout the covered variant is the plain one.
-        let full = Layout::source_order(&program);
-        assert_eq!(
-            chunk_occupancy(&program, &full, cache),
-            chunk_occupancy_covered(&program, &full, cache)
-        );
     }
 
     #[test]

@@ -1,13 +1,6 @@
-//! Trace serialization.
-//!
-//! Two formats are provided:
-//!
-//! * a compact, versioned **binary** format (`TMPO` magic, little-endian
-//!   fixed-width records) for large traces, and
-//! * a **text** format (one `proc_index bytes` pair per line, `#` comments)
-//!   for hand-written fixtures and debugging.
-//!
-//! Both round-trip exactly.
+//! Trace serialization: the compact, versioned v1 **binary** format
+//! (`TMPO` magic, little-endian fixed-width records), which round-trips
+//! exactly. The framed v2 container lives in [`crate::v2`].
 //!
 //! ```
 //! use tempo_program::ProcId;
@@ -24,7 +17,7 @@
 
 use std::error::Error;
 use std::fmt;
-use std::io::{BufRead, Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 
 use tempo_program::{ProcId, Program};
 
@@ -61,11 +54,6 @@ pub enum TraceIoError {
         /// Records actually read.
         found: u64,
     },
-    /// A text-format line could not be parsed.
-    BadLine {
-        /// 1-based line number.
-        line: usize,
-    },
     /// A record carries a zero byte extent, which no valid trace contains.
     ZeroExtent {
         /// 0-based record index.
@@ -93,7 +81,6 @@ impl fmt::Display for TraceIoError {
                     "trace truncated: expected {expected} records, found {found}"
                 )
             }
-            TraceIoError::BadLine { line } => write!(f, "malformed trace text at line {line}"),
             TraceIoError::ZeroExtent { index } => {
                 write!(f, "record {index} has a zero byte extent")
             }
@@ -290,8 +277,6 @@ pub struct TraceWarnings {
     pub clamped_extent: u64,
     /// Trailing byte fragments that do not form a whole record.
     pub truncated_tail: u64,
-    /// Unparsable text-format lines that were skipped.
-    pub bad_lines: u64,
     /// Whole v2 frames skipped because they were truncated, failed their
     /// CRC, or did not decode.
     pub bad_frames: u64,
@@ -317,7 +302,6 @@ impl TraceWarnings {
             + self.unknown_proc
             + self.clamped_extent
             + self.truncated_tail
-            + self.bad_lines
             + self.bad_frames
     }
 }
@@ -335,7 +319,6 @@ impl fmt::Display for TraceWarnings {
             (self.unknown_proc, "unknown-proc"),
             (self.clamped_extent, "clamped-extent"),
             (self.truncated_tail, "truncated-tail"),
-            (self.bad_lines, "bad-line"),
             (self.bad_frames, "bad-frame"),
         ] {
             if count > 0 {
@@ -600,103 +583,6 @@ impl<R: Read> TraceSource for V1Source<'_, R> {
     }
 }
 
-/// Reads a text trace, skipping defective lines instead of failing.
-///
-/// Unparsable lines and zero-extent records are dropped and tallied. When
-/// `program` is given, unknown procedures are dropped and oversized extents
-/// clamped, as in [`read_binary_lossy`].
-///
-/// # Errors
-///
-/// Fails only on genuine I/O errors from the reader.
-pub fn read_text_lossy<R: BufRead>(
-    r: R,
-    program: Option<&Program>,
-) -> Result<(Trace, TraceWarnings), TraceIoError> {
-    let mut warnings = TraceWarnings::default();
-    let mut records = Vec::new();
-    for line in r.lines() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(p), Some(b), None) = (parts.next(), parts.next(), parts.next()) else {
-            warnings.bad_lines += 1;
-            continue;
-        };
-        let (Ok(proc), Ok(mut bytes)) = (p.parse::<u32>(), b.parse::<u32>()) else {
-            warnings.bad_lines += 1;
-            continue;
-        };
-        if bytes == 0 {
-            warnings.zero_extent += 1;
-            continue;
-        }
-        let proc = ProcId::new(proc);
-        if let Some(prog) = program {
-            if proc.as_usize() >= prog.len() {
-                warnings.unknown_proc += 1;
-                continue;
-            }
-            let size = prog.size_of(proc);
-            if bytes > size {
-                warnings.clamped_extent += 1;
-                bytes = size;
-            }
-        }
-        records.push(TraceRecord::new(proc, bytes));
-    }
-    Ok((Trace::from_records(records), warnings))
-}
-
-/// Writes a trace in the text format: one `proc_index bytes` pair per line.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_text<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError> {
-    for r in trace.iter() {
-        writeln!(w, "{} {}", r.proc.index(), r.bytes)?;
-    }
-    Ok(())
-}
-
-/// Reads a trace in the text format. Blank lines and lines starting with `#`
-/// are ignored.
-///
-/// # Errors
-///
-/// Fails on I/O errors, unparsable lines, or zero byte extents.
-pub fn read_text<R: BufRead>(r: R) -> Result<Trace, TraceIoError> {
-    let mut records = Vec::new();
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(p), Some(b), None) = (parts.next(), parts.next(), parts.next()) else {
-            return Err(TraceIoError::BadLine { line: lineno + 1 });
-        };
-        let proc: u32 = p
-            .parse()
-            .map_err(|_| TraceIoError::BadLine { line: lineno + 1 })?;
-        let bytes: u32 = b
-            .parse()
-            .map_err(|_| TraceIoError::BadLine { line: lineno + 1 })?;
-        if bytes == 0 {
-            return Err(TraceIoError::ZeroExtent {
-                index: records.len() as u64,
-            });
-        }
-        records.push(TraceRecord::new(ProcId::new(proc), bytes));
-    }
-    Ok(Trace::from_records(records))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,39 +688,6 @@ mod tests {
         assert!(matches!(err, TraceIoError::ZeroExtent { index: 0 }));
     }
 
-    #[test]
-    fn text_roundtrip() {
-        let t = sample_trace();
-        let mut buf = Vec::new();
-        write_text(&mut buf, &t).unwrap();
-        let back = read_text(buf.as_slice()).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn text_skips_comments_and_blanks() {
-        let src = "# header\n\n0 10\n   \n# mid\n1 20\n";
-        let t = read_text(src.as_bytes()).unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.records()[1], TraceRecord::new(ProcId::new(1), 20));
-    }
-
-    #[test]
-    fn text_rejects_garbage() {
-        assert!(matches!(
-            read_text("0 10\nhello world extra\n".as_bytes()).unwrap_err(),
-            TraceIoError::BadLine { line: 2 }
-        ));
-        assert!(matches!(
-            read_text("0\n".as_bytes()).unwrap_err(),
-            TraceIoError::BadLine { line: 1 }
-        ));
-        assert!(matches!(
-            read_text("0 0\n".as_bytes()).unwrap_err(),
-            TraceIoError::ZeroExtent { index: 0 }
-        ));
-    }
-
     fn tiny_program() -> Program {
         Program::builder()
             .procedure("a", 64)
@@ -917,19 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn lossy_text_skips_bad_lines() {
-        let p = tiny_program();
-        let src = "0 10\nwhat even\n1 0\n99 5\n1 5000\n1 8\n";
-        let (t, w) = read_text_lossy(src.as_bytes(), Some(&p)).unwrap();
-        assert_eq!(w.bad_lines, 1);
-        assert_eq!(w.zero_extent, 1);
-        assert_eq!(w.unknown_proc, 1);
-        assert_eq!(w.clamped_extent, 1);
-        assert_eq!(t.len(), 3);
-        t.validate(&p).unwrap();
-    }
-
-    #[test]
     fn warnings_display_summarizes() {
         let w = TraceWarnings {
             zero_extent: 2,
@@ -949,6 +789,8 @@ mod tests {
         assert!(TraceIoError::UnsupportedVersion(3)
             .to_string()
             .contains('3'));
-        assert!(TraceIoError::BadLine { line: 9 }.to_string().contains('9'));
+        assert!(TraceIoError::ZeroExtent { index: 9 }
+            .to_string()
+            .contains('9'));
     }
 }

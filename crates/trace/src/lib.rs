@@ -12,8 +12,8 @@
 //!   producers, [`TraceSink`] consumers, the [`pump`] driver loop, and
 //!   [`Tee`] fan-out, so pipelines process traces of any length in
 //!   constant memory (DESIGN.md §10).
-//! * [`io`] — the v1 binary container (fixed records, count up front) plus
-//!   a human-readable text format; strict and lossy streaming readers.
+//! * [`io`] — the v1 binary container (fixed records, count up front);
+//!   strict and lossy streaming readers.
 //! * [`v2`] — the v2 chunked binary container: CRC-framed blocks of varint
 //!   records, streamable and lossy-recoverable frame by frame, read by one
 //!   reader ([`v2::V2Source`], opened from a file by [`open_v2_auto`]).

@@ -13,8 +13,8 @@ use crate::io::TraceWarnings;
 pub const RECORDS_READ: &str = "trace.records_read";
 /// Whole v2 frames skipped (truncated, CRC failure, undecodable).
 pub const FRAMES_SKIPPED: &str = "trace.frames_skipped";
-/// Records dropped during ingestion (bad lines, zero extents, unknown
-/// procedures, truncated tails).
+/// Records dropped during ingestion (zero extents, unknown procedures,
+/// truncated tails).
 pub const RECORDS_DROPPED: &str = "trace.records_dropped";
 /// Records repaired by clamping an oversized extent.
 pub const RECORDS_CLAMPED: &str = "trace.records_clamped";
@@ -33,10 +33,7 @@ pub fn note_read(records: u64, warnings: &TraceWarnings) {
         (FRAMES_SKIPPED, warnings.bad_frames),
         (
             RECORDS_DROPPED,
-            warnings.bad_lines
-                + warnings.zero_extent
-                + warnings.unknown_proc
-                + warnings.truncated_tail,
+            warnings.zero_extent + warnings.unknown_proc + warnings.truncated_tail,
         ),
         (RECORDS_CLAMPED, warnings.clamped_extent),
         (

@@ -28,6 +28,16 @@ impl TraceRecord {
     pub fn new(proc: ProcId, bytes: u32) -> Self {
         TraceRecord { proc, bytes }
     }
+
+    /// Whether the record fits `program`: a known procedure, and an
+    /// extent of at least one byte and at most the procedure's size. The
+    /// one rule behind [`Trace::validate`], the CLI's strict reads and
+    /// tempod's frame intake.
+    pub fn fits(&self, program: &Program) -> bool {
+        self.proc.as_usize() < program.len()
+            && self.bytes >= 1
+            && self.bytes <= program.size_of(self.proc)
+    }
 }
 
 /// An in-memory procedure-grain execution trace.
@@ -122,8 +132,7 @@ impl Trace {
         }
     }
 
-    /// Checks every record against the program: known procedure, extent
-    /// within bounds, extent nonzero.
+    /// Checks every record against the program ([`TraceRecord::fits`]).
     ///
     /// Returns the index of the first invalid record, or `Ok(())`.
     ///
@@ -131,15 +140,10 @@ impl Trace {
     ///
     /// The error value is the index of the offending record.
     pub fn validate(&self, program: &Program) -> Result<(), usize> {
-        for (i, r) in self.records.iter().enumerate() {
-            if r.proc.as_usize() >= program.len()
-                || r.bytes == 0
-                || r.bytes > program.size_of(r.proc)
-            {
-                return Err(i);
-            }
-        }
-        Ok(())
+        self.records
+            .iter()
+            .position(|r| !r.fits(program))
+            .map_or(Ok(()), Err)
     }
 }
 

@@ -1,4 +1,4 @@
-//! Parallel multi-seed trace generation.
+//! Parallel trace generation.
 //!
 //! Every experiment needs at least a training and a testing trace per
 //! benchmark, and perturbation studies need whole families of traces that
@@ -30,28 +30,6 @@ pub fn traces(
         .map(|&(input, len)| move || Executor::new(model, input).generate(len))
         .collect();
     pool.run(jobs).into_iter().collect()
-}
-
-/// Generates a family of traces that differ only in their seed (the
-/// multi-seed shape used by robustness and perturbation sweeps), in
-/// parallel, in `seeds` order.
-///
-/// # Errors
-///
-/// Returns the first worker panic as a [`JobPanic`] (the index is the
-/// failing seed's position).
-pub fn multi_seed_traces(
-    model: &BenchmarkModel,
-    base: InputSpec,
-    seeds: &[u64],
-    len: usize,
-    pool: &Pool,
-) -> Result<Vec<Trace>, JobPanic> {
-    let requests: Vec<(InputSpec, usize)> = seeds
-        .iter()
-        .map(|&seed| (InputSpec { seed, ..base }, len))
-        .collect();
-    traces(model, &requests, pool)
 }
 
 /// Generates the model's training and testing traces concurrently — the
@@ -98,17 +76,6 @@ mod tests {
             let par = traces(&model, &requests, &Pool::new(workers)).unwrap();
             assert_eq!(par, serial, "at {workers} workers");
         }
-    }
-
-    #[test]
-    fn multi_seed_family_varies_only_by_seed() {
-        let model = suite::perl();
-        let pool = Pool::new(4);
-        let family =
-            multi_seed_traces(&model, model.training_input(), &[1, 2, 1], 2_000, &pool).unwrap();
-        assert_eq!(family.len(), 3);
-        assert_eq!(family[0], family[2], "same seed, same trace");
-        assert_ne!(family[0], family[1], "different seed, different trace");
     }
 
     #[test]

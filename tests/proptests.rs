@@ -992,37 +992,6 @@ proptest! {
             prop_assert!(!warnings.is_clean());
         }
     }
-
-    /// The strict text reader points at the offending line with 1-based
-    /// numbering; the lossy text reader skips it and counts it.
-    #[test]
-    fn text_reader_reports_one_based_bad_lines(
-        (program, trace) in program_and_trace(),
-        bad_at_frac in 0.0f64..1.0,
-    ) {
-        use tempo::trace::io::{read_text, read_text_lossy, TraceIoError};
-
-        let mut buf = Vec::new();
-        tempo::trace::io::write_text(&mut buf, &trace).unwrap();
-        let text = std::str::from_utf8(&buf).unwrap();
-
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let bad_at = ((lines.len() - 1) as f64 * bad_at_frac) as usize;
-        lines.insert(bad_at, "not a record".to_string());
-        let mangled = lines.join("\n");
-
-        match read_text(mangled.as_bytes()) {
-            Err(TraceIoError::BadLine { line }) => {
-                prop_assert_eq!(line, bad_at + 1, "line numbers are 1-based");
-            }
-            other => prop_assert!(false, "expected BadLine, got {:?}", other),
-        }
-
-        let (recovered, warnings) =
-            read_text_lossy(mangled.as_bytes(), Some(&program)).unwrap();
-        prop_assert_eq!(warnings.bad_lines, 1);
-        prop_assert_eq!(recovered.len(), trace.len());
-    }
 }
 
 // ---------------------------------------------------------------------
