@@ -770,7 +770,7 @@ impl RunAllReport {
                     wall_ms: e.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
                     cells: e.get("cells").and_then(Json::as_f64).unwrap_or(0.0) as usize,
                     rows: e.get("rows").and_then(Json::as_f64).unwrap_or(0.0) as usize,
-                    misses: e.get("misses").and_then(Json::as_f64).unwrap_or(0.0) as u64,
+                    misses: opt_u64(e, "misses")?.unwrap_or(0),
                     metrics: match e.get("metrics") {
                         Some(Json::Object(fields)) => fields
                             .iter()
@@ -786,11 +786,23 @@ impl RunAllReport {
             records: v.get("records").and_then(Json::as_f64).map(|n| n as usize),
             runs: v.get("runs").and_then(Json::as_f64).map(|n| n as usize),
             jobs: v.get("jobs").and_then(Json::as_f64).unwrap_or(1.0) as usize,
-            seed: v.get("seed").and_then(Json::as_f64).unwrap_or(0.0) as u64,
+            seed: opt_u64(&v, "seed")?.unwrap_or(0),
             total_wall_ms: v.get("total_wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
             experiments,
         })
     }
+}
+
+/// The optional exact integer field `key` of `v`: absent is `None`, and a
+/// present value that is not a non-negative integer below 2^53 is an
+/// error rather than a truncation.
+fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
+    v.get(key)
+        .map(|n| {
+            n.as_u64()
+                .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
+        })
+        .transpose()
 }
 
 fn opt_num(v: Option<usize>) -> Json {
@@ -1118,6 +1130,26 @@ mod tests {
         let verdict = check_regression(&cur, &base, 25.0, 70.0);
         assert_eq!(verdict.failures.len(), 1);
         assert!(verdict.failures[0].contains("misses drifted"));
+    }
+
+    #[test]
+    fn run_record_counts_must_be_exact_integers() {
+        let doc = |seed: &str, misses: &str| {
+            format!(
+                "{{\"seed\": {seed}, \"experiments\": [{{\"name\": \"x\", \"misses\": {misses}}}]}}"
+            )
+        };
+        let ok = RunAllReport::from_json(&doc("7", "12")).unwrap();
+        assert_eq!((ok.seed, ok.experiments[0].misses), (7, 12));
+        for (seed, misses) in [("1.5", "12"), ("-1", "12"), ("7", "-5"), ("7", "2.5")] {
+            assert!(
+                RunAllReport::from_json(&doc(seed, misses)).is_err(),
+                "seed {seed}, misses {misses}"
+            );
+        }
+        // Absent fields keep their defaults.
+        let bare = RunAllReport::from_json(r#"{"experiments": [{"name": "x"}]}"#).unwrap();
+        assert_eq!((bare.seed, bare.experiments[0].misses), (0, 0));
     }
 
     /// The run record reads and re-renders byte for byte: the checked-in

@@ -413,13 +413,7 @@ pub fn place(args: &ArgMap) -> Result<(), CliError> {
     args.finish()?;
 
     let profile = read_profile(open(&profile_path)?).map_err(|e| CliError::parse("profile", e))?;
-    if profile.popular.len() != program.len() {
-        return Err(CliError::Inconsistent(format!(
-            "profile covers {} procedures, program has {}",
-            profile.popular.len(),
-            program.len()
-        )));
-    }
+    profile.fits(&program).map_err(CliError::Inconsistent)?;
     let algorithm =
         algorithm_for(&name, profile.cache, profile.pair_db.is_some()).map_err(CliError::Usage)?;
     let session = tempo::ProfiledSession::from_profile(&program, profile);
@@ -771,7 +765,11 @@ pub fn analyze(args: &ArgMap) -> Result<(), CliError> {
     let layout = tempo::program::io::read_layout(open(layout_path)?)
         .map_err(|e| CliError::parse("layout", e))?;
     let profile = match args.get("profile") {
-        Some(path) => Some(read_profile(open(path)?).map_err(|e| CliError::parse("profile", e))?),
+        Some(path) => {
+            let profile = read_profile(open(path)?).map_err(|e| CliError::parse("profile", e))?;
+            profile.fits(&program).map_err(CliError::Inconsistent)?;
+            Some(profile)
+        }
         None => None,
     };
     // Explicit --cache wins; otherwise inherit the profile's geometry.

@@ -152,21 +152,21 @@ impl Snapshot {
                     .and_then(Json::as_f64)
                     .ok_or_else(|| format!("metric `{name}` missing number `{key}`"))
             };
+            // Counts are exact integers; `-5` or `1.5` is a corrupt file.
+            let count = |key: &str| {
+                m.get(key)
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("metric `{name}` needs a non-negative integer `{key}`"))
+            };
             let kind = m
                 .get("type")
                 .and_then(Json::as_str)
                 .ok_or_else(|| format!("metric `{name}` missing `type`"))?;
             let value = match kind {
-                "counter" => {
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                    // Counters are emitted as integral u64 well below 2^53.
-                    MetricValue::Counter(num("value")?.max(0.0) as u64)
-                }
+                "counter" => MetricValue::Counter(count("value")?),
                 "gauge" => MetricValue::Gauge(num("value")?),
                 "histogram" => MetricValue::Histogram(HistogramSummary {
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                    // Sample counts are emitted as integral u64 below 2^53.
-                    count: num("count")?.max(0.0) as u64,
+                    count: count("count")?,
                     sum: num("sum")?,
                     min: num("min")?,
                     max: num("max")?,
@@ -193,6 +193,22 @@ mod tests {
         r.histogram("stage.profile").record(12.5);
         r.histogram("stage.profile").record(7.5);
         r.snapshot()
+    }
+
+    #[test]
+    fn counts_must_be_exact_integers() {
+        let doc = |metric: &str| format!("{{\"schema\": 1, \"metrics\": {{\"a\": {metric}}}}}");
+        for bad in [
+            r#"{"type": "counter", "value": -5}"#,
+            r#"{"type": "counter", "value": 1.5}"#,
+            r#"{"type": "histogram", "count": -1, "sum": 0, "min": 0, "max": 0}"#,
+            r#"{"type": "histogram", "count": 2.5, "sum": 0, "min": 0, "max": 0}"#,
+        ] {
+            let err = Snapshot::parse_json(&doc(bad)).unwrap_err();
+            assert!(err.contains("non-negative integer"), "{bad}: {err}");
+        }
+        let ok = Snapshot::parse_json(&doc(r#"{"type": "counter", "value": 7}"#)).unwrap();
+        assert_eq!(ok.counter("a"), Some(7));
     }
 
     #[test]

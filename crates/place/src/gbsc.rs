@@ -229,21 +229,64 @@ impl ChunkLines {
     }
 
     /// The cache sets a chunk covers, given the current offset of its
-    /// owner, as a circular run `(first set, length)`. A run longer than
-    /// `sets` wraps and lists sets twice, as [`lines`](Self::lines) does.
+    /// owner, as a circular run `(first set, length)`; with `sets` equal
+    /// to the line count, the lines it covers. The length is capped at the
+    /// line count, so a run longer than `sets` wraps and lists sets twice.
     fn set_run(&self, offsets: &[u32], sets: u32, chunk: u32) -> (u32, u32) {
         let c = chunk as usize;
         let start = offsets[self.owner[c].as_usize()] + self.rel_line[c];
         (start % sets, self.nlines[c].min(self.lines))
     }
+}
 
-    /// Absolute cache lines (mod line count) occupied by a chunk, given
-    /// the current offset of its owner.
-    fn lines<'s>(&'s self, offsets: &'s [u32], chunk: u32) -> impl Iterator<Item = u32> + 's {
-        let c = chunk as usize;
-        let start = offsets[self.owner[c].as_usize()] + self.rel_line[c];
-        let lines = self.lines;
-        (0..self.nlines[c].min(lines)).map(move |k| (start + k) % lines)
+/// Casts one crossing edge's votes into `acc`, the tally of what shifting
+/// node `v` by each line offset would cost. The edge joins a block of `nu`
+/// lines of node `u` starting at line `su` to a block of `nv` lines of
+/// node `v` starting at line `sv`; `base = (su − sv) mod L` for the `L`
+/// lines of `acc`. Shifting `v` by `i` makes line `k` of the first block
+/// meet line `j` of the second when `i = (base + k + L − j) mod L`, and
+/// each such line pair adds `w` to `acc[i]`.
+///
+/// For one `k` the `nv ≤ L` shifts are a circular run ending at
+/// `base + k`, each hit once, so the run is added to as one or two
+/// contiguous slices, with no division. With `k` outer, every entry takes
+/// the same additions in the same order as the line-pair loop
+/// `for k { for j { acc[(base + k + L − j) % L] += w } }`: scaled or
+/// perturbed weights sum to the same bits.
+#[inline]
+pub(crate) fn vote(acc: &mut [f64], base: u32, nu: u32, nv: u32, w: f64) {
+    let lines = acc.len();
+    let (base, nu, nv) = (base as usize, nu as usize, nv as usize);
+    debug_assert!(base < lines && nu <= lines && nv <= lines);
+    let mut top = base;
+    for _ in 0..nu {
+        if nv <= top + 1 {
+            add(&mut acc[top + 1 - nv..=top], w);
+        } else {
+            add(&mut acc[..=top], w);
+            add(&mut acc[lines + top + 1 - nv..], w);
+        }
+        top += 1;
+        if top == lines {
+            top = 0;
+        }
+    }
+}
+
+/// `(a − b) mod n` for `a, b < n`.
+#[inline]
+pub(crate) fn line_diff(a: u32, b: u32, n: u32) -> u32 {
+    if a >= b {
+        a - b
+    } else {
+        a + n - b
+    }
+}
+
+#[inline]
+fn add(slots: &mut [f64], w: f64) {
+    for s in slots {
+        *s += w;
     }
 }
 
@@ -271,7 +314,10 @@ impl Gbsc {
     }
 
     /// Budget-aware merging over `selection` (`TRG_select` for GBSC, the
-    /// popular WCG for WCG+offsets), costed by `TRG_place`.
+    /// popular WCG for WCG+offsets), costed by `TRG_place`. The
+    /// `TRG_place` row entries the scans cost are added once to the
+    /// `place.offset_edges_costed` counter, a host-independent measure of
+    /// the merge's cost.
     pub(crate) fn tuples(
         &self,
         ctx: &PlacementContext<'_>,
@@ -281,10 +327,12 @@ impl Gbsc {
         let geometry = ChunkLines::new(program, ctx.cache());
         let trg_place = &ctx.profile.trg_place;
         let lines = ctx.cache().lines();
-        offset_tuples(ctx, &merge_order(selection), move |offsets, nodes, u, v| {
+        let mut costed = 0u64;
+        let tuples = offset_tuples(ctx, &merge_order(selection), |offsets, nodes, u, v| {
             // Figure 4's cost scan, computed sparsely: for every TRG_place
             // edge crossing the two nodes, each pair of co-residable lines
             // votes for the relative offset that would make them collide.
+            // `acc[i]` = cost of shifting node v by i.
             let mut acc = vec![0.0f64; lines as usize];
             // Iterate the smaller node's chunks for small-to-large cost.
             let chunks = |n: u32| -> usize {
@@ -301,28 +349,26 @@ impl Gbsc {
             };
             for &p in nodes.members(iter_node) {
                 for chunk in program.chunks_of(p) {
-                    for nbr in trg_place.neighbors(chunk) {
+                    let run = geometry.set_run(offsets, lines, chunk);
+                    for &(nbr, w) in trg_place.row(chunk) {
                         if geometry.node(nodes, nbr) != other {
                             continue;
                         }
-                        let w = trg_place.weight(chunk, nbr);
-                        let (cu, cv) = if iter_is_v {
-                            (nbr, chunk)
+                        costed += 1;
+                        let nbr_run = geometry.set_run(offsets, lines, nbr);
+                        let ((su, nu), (sv, nv)) = if iter_is_v {
+                            (nbr_run, run)
                         } else {
-                            (chunk, nbr)
+                            (run, nbr_run)
                         };
-                        // `acc[i]` = cost of shifting node v by i:
-                        // collision when line_u == line_v + i (mod L).
-                        for la in geometry.lines(offsets, cu) {
-                            for lb in geometry.lines(offsets, cv) {
-                                acc[((la + lines - lb) % lines) as usize] += w;
-                            }
-                        }
+                        vote(&mut acc, line_diff(su, sv, lines), nu, nv, w);
                     }
                 }
             }
             first_min(&acc)
-        })
+        });
+        tempo_obs::counter("place.offset_edges_costed").add(costed);
+        tuples
     }
 }
 
@@ -432,7 +478,7 @@ impl PlacementAlgorithm for GbscSetAssoc {
                 // that align them, `sa - sb` mod sets.
                 for &sa in &fixed {
                     for &sb in &shifted {
-                        acc[(if sa >= sb { sa - sb } else { sa + sets - sb }) as usize] += w;
+                        acc[line_diff(sa, sb, sets) as usize] += w;
                     }
                 }
             }
@@ -575,6 +621,238 @@ mod tests {
     use tempo_trace::Trace;
     use tempo_trg::{PopularSet, PopularitySelector, ProfileData, Profiler};
 
+    use crate::merge::reference_order;
+    use crate::reference_graph::ReferenceGraph;
+
+    /// Absolute cache lines (mod line count) occupied by a chunk, given
+    /// the current offset of its owner: the per-line walk the reference
+    /// scans take a `%` for.
+    fn chunk_lines<'s>(
+        geometry: &'s ChunkLines,
+        offsets: &'s [u32],
+        chunk: u32,
+    ) -> impl Iterator<Item = u32> + 's {
+        let c = chunk as usize;
+        let start = offsets[geometry.owner[c].as_usize()] + geometry.rel_line[c];
+        let lines = geometry.lines;
+        (0..geometry.nlines[c].min(lines)).map(move |k| (start + k) % lines)
+    }
+
+    /// GBSC as written over the `BTreeMap` graph: the merge order from the
+    /// reference graph, and a scan that looks each `TRG_place` weight up
+    /// and votes line pair by line pair with a `%`.
+    struct ReferenceGbsc {
+        trg_select: ReferenceGraph,
+        trg_place: ReferenceGraph,
+    }
+
+    impl PlacementAlgorithm for ReferenceGbsc {
+        fn name(&self) -> &str {
+            "GBSC"
+        }
+
+        fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
+            let program = ctx.program;
+            let geometry = ChunkLines::new(program, ctx.cache());
+            let trg_place = &self.trg_place;
+            let lines = ctx.cache().lines();
+            let order = reference_order(&self.trg_select);
+            let tuples = offset_tuples(ctx, &order, |offsets, nodes, u, v| {
+                let mut acc = vec![0.0f64; lines as usize];
+                let chunks = |n: u32| -> usize {
+                    nodes
+                        .members(n)
+                        .iter()
+                        .map(|p| program.chunks_of(*p).len())
+                        .sum()
+                };
+                let (iter_node, other, iter_is_v) = if chunks(v) <= chunks(u) {
+                    (v, u, true)
+                } else {
+                    (u, v, false)
+                };
+                for &p in nodes.members(iter_node) {
+                    for chunk in program.chunks_of(p) {
+                        for nbr in trg_place.neighbors(chunk) {
+                            if geometry.node(nodes, nbr) != other {
+                                continue;
+                            }
+                            let w = trg_place.weight(chunk, nbr);
+                            let (cu, cv) = if iter_is_v {
+                                (nbr, chunk)
+                            } else {
+                                (chunk, nbr)
+                            };
+                            for la in chunk_lines(&geometry, offsets, cu) {
+                                for lb in chunk_lines(&geometry, offsets, cv) {
+                                    acc[((la + lines - lb) % lines) as usize] += w;
+                                }
+                            }
+                        }
+                    }
+                }
+                first_min(&acc)
+            })?;
+            Ok(tuples.into_layout(ctx))
+        }
+    }
+
+    /// Builds the shipped and the reference graph from one edge list.
+    fn graphs(edges: &[(u32, u32, f64)]) -> (WeightedGraph, ReferenceGraph) {
+        let mut r = ReferenceGraph::default();
+        for &(a, b, w) in edges {
+            r.add_weight(a, b, w);
+        }
+        (edges.iter().copied().collect(), r)
+    }
+
+    #[test]
+    fn vote_matches_the_line_pair_loop() {
+        // Non-integer weights: any change in the order of additions to an
+        // entry shows in its bits.
+        for lines in [1u32, 2, 5, 8] {
+            for base in 0..lines {
+                for nu in 0..=lines {
+                    for nv in 0..=lines {
+                        let mut acc = vec![0.1f64; lines as usize];
+                        let mut want = acc.clone();
+                        for w in [0.3, 1.7e-3] {
+                            vote(&mut acc, base, nu, nv, w);
+                            for k in 0..nu {
+                                for j in 0..nv {
+                                    want[((base + k + lines - j) % lines) as usize] += w;
+                                }
+                            }
+                        }
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&acc), bits(&want), "L {lines} base {base} {nu}x{nv}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn gbsc_layouts_match_the_reference_graph(
+            sizes in prop::collection::vec(32u32..2400, 2..20),
+            popular in prop::collection::vec((0u8..5).prop_map(|x| x != 0), 20..21),
+            select in prop::collection::vec((0usize..20, 0usize..20, 1u32..4), 0..40),
+            place in prop::collection::vec((0u32..200, 0u32..200, 1u32..6), 0..160),
+            weights in (0usize..3, any::<u64>()),
+            budget in 0u64..2000,
+        ) {
+            // 2 KB with 256 B chunks: a chunk covers 8 of 64 lines, and
+            // procedures past 2 KB wrap the cache.
+            let cache = CacheConfig::direct_mapped(2048).unwrap();
+            let (p, mut prof) = bare_sa_profile(&sizes, 256, cache);
+            let n = p.len();
+            let popular = popular[..n].to_vec();
+            let chunks = p.chunk_count();
+            let select: Vec<(u32, u32, f64)> = select
+                .into_iter()
+                .map(|(a, b, w)| (a % n, b % n, w))
+                .filter(|&(a, b, _)| a != b && popular[a] && popular[b])
+                .map(|(a, b, w)| (a as u32, b as u32, f64::from(w)))
+                .collect();
+            // Same-owner chunk pairs and chunks of unpopular procedures
+            // included: neither is ever costed.
+            let place: Vec<(u32, u32, f64)> = place
+                .into_iter()
+                .map(|(a, b, w)| (a % chunks, b % chunks, f64::from(w)))
+                .filter(|&(a, b, _)| a != b)
+                .collect();
+            let (mut trg_select, mut ref_select) = graphs(&select);
+            let (mut trg_place, mut ref_place) = graphs(&place);
+            // Integer, decayed and perturbed weights.
+            let (kind, seed) = weights;
+            if kind == 1 {
+                trg_place.scale_weights(0.5);
+                ref_place.scale_weights(0.5);
+            } else if kind == 2 {
+                use rand::SeedableRng;
+                let rng = || rand::rngs::StdRng::seed_from_u64(seed);
+                trg_select = trg_select.perturbed(0.4, &mut rng());
+                ref_select = ref_select.perturbed(0.4, &mut rng());
+                trg_place = trg_place.perturbed(0.4, &mut rng());
+                ref_place = ref_place.perturbed(0.4, &mut rng());
+            }
+            prof.popular = PopularSet::from_parts(popular, vec![1; n]);
+            prof.trg_select = trg_select;
+            prof.trg_place = trg_place;
+            let reference = ReferenceGbsc { trg_select: ref_select, trg_place: ref_place };
+            let ctx = PlacementContext::new(&p, &prof);
+            prop_assert_eq!(Gbsc::new().place(&ctx), reference.place(&ctx));
+            let budget = crate::Budget::work_units(budget);
+            prop_assert_eq!(
+                crate::place_with_fallback(&p, &prof, &Gbsc::new(), budget),
+                crate::place_with_fallback(&p, &prof, &reference, budget)
+            );
+        }
+    }
+
+    #[test]
+    fn offset_scan_costs_each_crossing_edge_once() {
+        // A path whose weights fall away from procedure 0: every merge
+        // joins a singleton to the one growing node. Each procedure has
+        // three 256 B chunks, and `TRG_place` joins every chunk to its
+        // four successors, so some edges join two chunks of one
+        // procedure; those never cross two nodes and are never costed.
+        let n: u32 = 120;
+        let (p, mut prof) =
+            bare_sa_profile(&vec![768; n as usize], 256, CacheConfig::direct_mapped_8k());
+        prof.popular = PopularSet::from_parts(vec![true; n as usize], vec![1; n as usize]);
+        let select: Vec<(u32, u32, f64)> =
+            (0..n - 1).map(|i| (i, i + 1, f64::from(n - i))).collect();
+        let chunks = p.chunk_count();
+        let place: Vec<(u32, u32, f64)> = (0..chunks)
+            .flat_map(|a| {
+                (a + 1..(a + 5).min(chunks)).map(move |b| (a, b, f64::from(1 + (a * b) % 7)))
+            })
+            .collect();
+        let crossing = place.iter().filter(|&&(a, b, _)| a / 3 != b / 3).count() as u64;
+        let (trg_select, ref_select) = graphs(&select);
+        let (trg_place, ref_place) = graphs(&place);
+        prof.trg_select = trg_select;
+        prof.trg_place = trg_place;
+        let ctx = PlacementContext::new(&p, &prof);
+        let registry = std::sync::Arc::new(tempo_obs::Registry::new());
+        let metered = {
+            let _scope = tempo_obs::scoped(registry.clone());
+            Gbsc::new().place(&ctx)
+        };
+        let costed = registry
+            .snapshot()
+            .counter("place.offset_edges_costed")
+            .unwrap();
+        assert_eq!(costed, crossing);
+        assert!(costed < prof.trg_place.edge_count() as u64);
+        // The count is a side record: the layout is the reference's.
+        let reference = ReferenceGbsc {
+            trg_select: ref_select,
+            trg_place: ref_place,
+        };
+        assert_eq!(metered, reference.place(&ctx));
+        // A budget that trips mid-merge still reports what it costed.
+        let registry = std::sync::Arc::new(tempo_obs::Registry::new());
+        {
+            let _scope = tempo_obs::scoped(registry.clone());
+            // Each merge charges one unit per line: 10 merges fit.
+            let meter = crate::budget::BudgetMeter::new(crate::Budget::work_units(
+                u64::from(ctx.cache().lines()) * 10,
+            ));
+            let budgeted = PlacementContext::new(&p, &prof).with_budget(&meter);
+            assert!(Gbsc::new().try_place(&budgeted).is_err());
+        }
+        let partial = registry
+            .snapshot()
+            .counter("place.offset_edges_costed")
+            .unwrap();
+        assert!(partial > 0 && partial < costed, "{partial} of {costed}");
+    }
+
     /// GBSC-SA as first written, kept as the reference the shipped one
     /// must match: every merge scans the whole pair database for the
     /// associations whose owners all sit in the two merging nodes.
@@ -607,7 +885,8 @@ mod tests {
                     let parts = [(p, np), (r, nr), (s, ns)];
                     for (k, &(chunk, node)) in parts.iter().enumerate() {
                         mine.clear();
-                        mine.extend(geometry.lines(offsets, chunk).map(|l| l % sets));
+                        let (first, len) = geometry.set_run(offsets, lines as u32, chunk);
+                        mine.extend((0..len).map(|k| (first + k) % lines as u32 % sets));
                         let side = if node == u { &mut fixed } else { &mut shifted };
                         if parts[..k].iter().any(|&(_, n)| (n == u) == (node == u)) {
                             side.retain(|x| mine.contains(x));

@@ -20,7 +20,7 @@
 use tempo_program::{Layout, ProcId};
 
 use crate::budget::BudgetExhausted;
-use crate::gbsc::{first_min, offset_tuples, PlacementTuples};
+use crate::gbsc::{first_min, line_diff, offset_tuples, vote, PlacementTuples};
 use crate::merge::{merge_order, popular_wcg};
 use crate::{PlacementAlgorithm, PlacementContext};
 
@@ -35,7 +35,6 @@ impl CacheColoring {
     }
 
     /// Budget-aware merging phase, returning cache-relative alignments.
-    #[allow(clippy::cast_possible_truncation)] // bounded by construction (see expression)
     fn tuples(&self, ctx: &PlacementContext<'_>) -> Result<PlacementTuples, BudgetExhausted> {
         let program = ctx.program;
         let lines = ctx.cache().lines();
@@ -51,40 +50,44 @@ impl CacheColoring {
             // two nodes.
             let mut acc = vec![0.0f64; lines as usize];
             for &pv in nodes.members(v) {
-                for nbr in wcg.neighbors(pv.index()) {
+                let (sv, nv) = (offsets[pv.as_usize()], proc_nlines(pv));
+                for &(nbr, w) in wcg.row(pv.index()) {
                     if nodes.node_of(nbr) != u {
                         continue;
                     }
                     let pu = ProcId::new(nbr);
-                    let w = wcg.weight(pv.index(), nbr);
-                    for ka in 0..proc_nlines(pu) {
-                        let la = (offsets[pu.as_usize()] + ka) % lines;
-                        for kb in 0..proc_nlines(pv) {
-                            let lb = (offsets[pv.as_usize()] + kb) % lines;
-                            acc[((la + lines - lb) % lines) as usize] += w;
-                        }
-                    }
+                    let su = offsets[pu.as_usize()];
+                    vote(&mut acc, line_diff(su, sv, lines), proc_nlines(pu), nv, w);
                 }
             }
             // Secondary cost (the "coloring" part of HKC): among alignments
             // with equal neighbor cost, prefer unused cache lines — count
             // line-slot collisions against *every* procedure of node u.
-            let mut occupancy = vec![0u32; lines as usize];
+            // `prefix[t]` sums the occupancy of lines `0..t` taken twice
+            // round, so any circular run of at most `lines` lines is one
+            // difference. Counts are exact integers, so the order of the
+            // sums is free.
+            let l = lines as usize;
+            let mut occupancy = vec![0u64; l];
             for &pu in nodes.members(u) {
-                for ka in 0..proc_nlines(pu) {
-                    occupancy[((offsets[pu.as_usize()] + ka) % lines) as usize] += 1;
+                let mut line = offsets[pu.as_usize()] as usize;
+                for _ in 0..proc_nlines(pu) {
+                    occupancy[line] += 1;
+                    line = if line + 1 == l { 0 } else { line + 1 };
                 }
             }
-            let mut fill = vec![0u64; lines as usize];
+            let mut prefix = vec![0u64; 2 * l + 1];
+            for t in 0..2 * l {
+                prefix[t + 1] = prefix[t] + occupancy[if t < l { t } else { t - l }];
+            }
+            // Shifting v by `i` puts its lines `sv + i ..` over u's.
+            let mut fill = vec![0u64; l];
             for &pv in nodes.members(v) {
-                for kb in 0..proc_nlines(pv) {
-                    let lb = (offsets[pv.as_usize()] + kb) % lines;
-                    for (la, &occ) in occupancy.iter().enumerate() {
-                        if occ > 0 {
-                            fill[(la as u32 + lines - lb) as usize % lines as usize] +=
-                                u64::from(occ);
-                        }
-                    }
+                let nv = proc_nlines(pv) as usize;
+                let mut first = offsets[pv.as_usize()] as usize;
+                for f in &mut fill {
+                    *f += prefix[first + nv] - prefix[first];
+                    first = if first + 1 == l { 0 } else { first + 1 };
                 }
             }
             first_min(acc.iter().zip(&fill))
@@ -105,15 +108,148 @@ impl PlacementAlgorithm for CacheColoring {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tempo_cache::{simulate, CacheConfig};
     use tempo_program::Program;
     use tempo_trace::Trace;
-    use tempo_trg::{PopularitySelector, Profiler};
+    use tempo_trg::{PopularSet, PopularitySelector, Profiler, WeightedGraph};
+
+    use crate::merge::reference_order;
+    use crate::reference_graph::ReferenceGraph;
 
     fn profile(program: &Program, trace: &Trace, cache: CacheConfig) -> tempo_trg::ProfileData {
         Profiler::new(program, cache)
             .popularity(PopularitySelector::all())
             .profile(trace)
+    }
+
+    /// HKC as written over the `BTreeMap` graph: the popular WCG's merge
+    /// order from the reference graph, weights looked up per neighbour,
+    /// and both tallies voted line pair by line pair with a `%`.
+    struct ReferenceHkc {
+        /// The WCG restricted to popular procedures.
+        wcg: ReferenceGraph,
+    }
+
+    impl PlacementAlgorithm for ReferenceHkc {
+        fn name(&self) -> &str {
+            "HKC"
+        }
+
+        #[allow(clippy::cast_possible_truncation)]
+        fn try_place(&self, ctx: &PlacementContext<'_>) -> Result<Layout, BudgetExhausted> {
+            let program = ctx.program;
+            let lines = ctx.cache().lines();
+            let line_size = ctx.cache().line_size();
+            let proc_nlines =
+                |id: ProcId| -> u32 { program.size_of(id).div_ceil(line_size).min(lines) };
+            let wcg = &self.wcg;
+            let tuples = offset_tuples(ctx, &reference_order(wcg), |offsets, nodes, u, v| {
+                let mut acc = vec![0.0f64; lines as usize];
+                for &pv in nodes.members(v) {
+                    for nbr in wcg.neighbors(pv.index()) {
+                        if nodes.node_of(nbr) != u {
+                            continue;
+                        }
+                        let pu = ProcId::new(nbr);
+                        let w = wcg.weight(pv.index(), nbr);
+                        for ka in 0..proc_nlines(pu) {
+                            let la = (offsets[pu.as_usize()] + ka) % lines;
+                            for kb in 0..proc_nlines(pv) {
+                                let lb = (offsets[pv.as_usize()] + kb) % lines;
+                                acc[((la + lines - lb) % lines) as usize] += w;
+                            }
+                        }
+                    }
+                }
+                let mut occupancy = vec![0u32; lines as usize];
+                for &pu in nodes.members(u) {
+                    for ka in 0..proc_nlines(pu) {
+                        occupancy[((offsets[pu.as_usize()] + ka) % lines) as usize] += 1;
+                    }
+                }
+                let mut fill = vec![0u64; lines as usize];
+                for &pv in nodes.members(v) {
+                    for kb in 0..proc_nlines(pv) {
+                        let lb = (offsets[pv.as_usize()] + kb) % lines;
+                        for (la, &occ) in occupancy.iter().enumerate() {
+                            if occ > 0 {
+                                fill[(la as u32 + lines - lb) as usize % lines as usize] +=
+                                    u64::from(occ);
+                            }
+                        }
+                    }
+                }
+                first_min(acc.iter().zip(&fill))
+            })?;
+            Ok(tuples.into_layout(ctx))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn hkc_layouts_match_the_reference_graph(
+            sizes in prop::collection::vec(32u32..2400, 2..24),
+            popular in prop::collection::vec((0u8..5).prop_map(|x| x != 0), 24..25),
+            edges in prop::collection::vec((0usize..24, 0usize..24, 1u32..5), 0..60),
+            weights in (0usize..3, any::<u64>()),
+            budget in 0u64..2000,
+        ) {
+            // 2 KB: 64 lines, so large procedures wrap the cache and
+            // cover every line.
+            let cache = CacheConfig::direct_mapped(2048).unwrap();
+            let mut b = Program::builder();
+            for (i, &size) in sizes.iter().enumerate() {
+                b.procedure(format!("p{i}"), size);
+            }
+            let p = b.build().unwrap();
+            let n = p.len();
+            let ids: Vec<ProcId> = p.ids().collect();
+            let mut prof = profile(&p, &Trace::from_full_records(&p, [ids[0], ids[1]]), cache);
+            let popular = popular[..n].to_vec();
+            // Unpopular endpoints stay in the WCG; HKC filters them out.
+            let edges: Vec<(u32, u32, f64)> = edges
+                .into_iter()
+                .map(|(a, b, w)| ((a % n) as u32, (b % n) as u32, f64::from(w)))
+                .filter(|&(a, b, _)| a != b)
+                .collect();
+            let mut wcg: WeightedGraph = edges.iter().copied().collect();
+            let mut reference = ReferenceGraph::default();
+            for &(a, b, w) in &edges {
+                if popular[a as usize] && popular[b as usize] {
+                    reference.add_weight(a, b, w);
+                }
+            }
+            let (kind, seed) = weights;
+            if kind == 1 {
+                wcg.scale_weights(0.5);
+                reference.scale_weights(0.5);
+            } else if kind == 2 {
+                // Perturb the popular subgraph on both sides, so both draw
+                // one sample per popular edge in the same order.
+                use rand::SeedableRng;
+                let mut popular_wcg = WeightedGraph::new();
+                for e in wcg.edges() {
+                    if popular[e.a as usize] && popular[e.b as usize] {
+                        popular_wcg.add_weight(e.a, e.b, e.w);
+                    }
+                }
+                wcg = popular_wcg.perturbed(0.4, &mut rand::rngs::StdRng::seed_from_u64(seed));
+                reference = reference.perturbed(0.4, &mut rand::rngs::StdRng::seed_from_u64(seed));
+            }
+            prof.popular = PopularSet::from_parts(popular, vec![1; n]);
+            prof.wcg = wcg;
+            let reference = ReferenceHkc { wcg: reference };
+            let ctx = PlacementContext::new(&p, &prof);
+            prop_assert_eq!(CacheColoring::new().place(&ctx), reference.place(&ctx));
+            let budget = crate::Budget::work_units(budget);
+            prop_assert_eq!(
+                crate::place_with_fallback(&p, &prof, &CacheColoring::new(), budget),
+                crate::place_with_fallback(&p, &prof, &reference, budget)
+            );
+        }
     }
 
     #[test]

@@ -76,6 +76,12 @@ pub mod metric;
 mod ph;
 pub mod splitting;
 
+/// The `BTreeMap` graph the shipped sorted-row graph replaced, as the
+/// reference the placement tests compare against.
+#[cfg(test)]
+#[path = "../../trg/src/reference_graph.rs"]
+mod reference_graph;
+
 use tempo_cache::CacheConfig;
 
 pub use ablate::{TrgChains, WcgOffsets};

@@ -98,6 +98,21 @@ pub(crate) fn merge_order(selection: &WeightedGraph) -> Vec<(u32, u32)> {
     order
 }
 
+/// [`merge_order`] over the reference graph: the order every placement
+/// test compares against.
+#[cfg(test)]
+pub(crate) fn reference_order(
+    selection: &crate::reference_graph::ReferenceGraph,
+) -> Vec<(u32, u32)> {
+    let mut working = selection.clone();
+    let mut order = Vec::new();
+    while let Some((a, b, _)) = working.heaviest_edge() {
+        order.push((a, b));
+        working.merge_nodes(a, b);
+    }
+    order
+}
+
 /// Merges `nodes` pair by pair along `order` (from [`merge_order`]),
 /// charging every merge to the context's budget. Returns the final node
 /// tables.

@@ -52,7 +52,7 @@ impl Combine for Chains<'_> {
         let (scan, other) = if u_scans { (u, v) } else { (v, u) };
         let mut heavy: Option<(f64, Reverse<(u32, u32)>)> = None;
         for &x in nodes.members(scan) {
-            for y in self.selection.neighbors(x.index()) {
+            for &(y, w) in self.selection.row(x.index()) {
                 self.scanned += 1;
                 if nodes.node_of(y) != other {
                     continue;
@@ -62,7 +62,7 @@ impl Combine for Chains<'_> {
                 } else {
                     (y, x.index())
                 };
-                let key = (self.selection.weight(p, q), Reverse((p, q)));
+                let key = (w, Reverse((p, q)));
                 if heavy.is_none_or(|best| key > best) {
                     heavy = Some(key);
                 }
@@ -164,6 +164,9 @@ mod tests {
     use tempo_trace::Trace;
     use tempo_trg::{PopularitySelector, Profiler};
 
+    use crate::merge::reference_order;
+    use crate::reference_graph::ReferenceGraph;
+
     fn profile(program: &Program, trace: &Trace) -> tempo_trg::ProfileData {
         Profiler::new(program, CacheConfig::direct_mapped_8k())
             .popularity(PopularitySelector::all())
@@ -175,7 +178,7 @@ mod tests {
     /// heaviest crossing edge and builds all four joined chains.
     struct ReferenceChains<'a> {
         program: &'a Program,
-        selection: &'a WeightedGraph,
+        selection: &'a ReferenceGraph,
     }
 
     impl Combine for ReferenceChains<'_> {
@@ -206,16 +209,32 @@ mod tests {
         }
     }
 
-    /// [`chain_layout`] with the reference combine step.
-    fn reference_layout(ctx: &PlacementContext<'_>, selection: &WeightedGraph) -> Layout {
+    /// [`chain_layout`] with the reference combine step, over the
+    /// reference graph.
+    fn reference_layout(ctx: &PlacementContext<'_>, selection: &ReferenceGraph) -> Layout {
         let mut step = ReferenceChains {
             program: ctx.program,
             selection,
         };
         packed(
             ctx,
-            &greedy_merge(ctx, &merge_order(selection), ctx.program.ids(), &mut step).unwrap(),
+            &greedy_merge(
+                ctx,
+                &reference_order(selection),
+                ctx.program.ids(),
+                &mut step,
+            )
+            .unwrap(),
         )
+    }
+
+    /// Builds the shipped and the reference graph from one edge list.
+    fn graphs(edges: &[(u32, u32, f64)]) -> (WeightedGraph, ReferenceGraph) {
+        let mut r = ReferenceGraph::default();
+        for &(a, b, w) in edges {
+            r.add_weight(a, b, w);
+        }
+        (edges.iter().copied().collect(), r)
     }
 
     /// Combines chains `a` and `b` as `AB`, `AB'`, `A'B`, or `A'B'`,
@@ -292,29 +311,44 @@ mod tests {
         fn chain_layouts_match_the_reference(
             sizes in prop::collection::vec((1u32..4).prop_map(|k| 64 * k), 2..40),
             edges in prop::collection::vec((0usize..40, 0usize..40, 1u32..4), 0..120),
+            weights in (0usize..3, any::<u64>()),
         ) {
             // Repeated sizes and small integer weights make both the
             // cross-edge key and the four distances tie often.
             let (p, mut prof) = bare_profile(&sizes);
             let n = p.len();
-            let (mut wcg, mut trg) = (WeightedGraph::new(), WeightedGraph::new());
-            for (a, b, w) in edges {
-                let (a, b) = ((a % n) as u32, (b % n) as u32);
-                if a != b {
-                    wcg.add_weight(a, b, f64::from(w));
-                    trg.add_weight(a, b, f64::from(4 - w));
-                }
+            let edges: Vec<(u32, u32, u32)> = edges
+                .into_iter()
+                .map(|(a, b, w)| ((a % n) as u32, (b % n) as u32, w))
+                .filter(|&(a, b, _)| a != b)
+                .collect();
+            let wcg: Vec<_> = edges.iter().map(|&(a, b, w)| (a, b, f64::from(w))).collect();
+            let trg: Vec<_> = edges.iter().map(|&(a, b, w)| (a, b, f64::from(4 - w))).collect();
+            let (mut wcg, mut ref_wcg) = graphs(&wcg);
+            let (mut trg, mut ref_trg) = graphs(&trg);
+            // Integer, decayed and perturbed weights.
+            let (kind, seed) = weights;
+            if kind == 1 {
+                wcg.scale_weights(0.5);
+                ref_wcg.scale_weights(0.5);
+            } else if kind == 2 {
+                use rand::SeedableRng;
+                let rng = || rand::rngs::StdRng::seed_from_u64(seed);
+                wcg = wcg.perturbed(0.4, &mut rng());
+                ref_wcg = ref_wcg.perturbed(0.4, &mut rng());
+                trg = trg.perturbed(0.4, &mut rng());
+                ref_trg = ref_trg.perturbed(0.4, &mut rng());
             }
             prof.wcg = wcg;
             prof.trg_select = trg;
             let ctx = PlacementContext::new(&p, &prof);
             prop_assert_eq!(
                 PettisHansen::new().place(&ctx),
-                reference_layout(&ctx, &prof.wcg)
+                reference_layout(&ctx, &ref_wcg)
             );
             prop_assert_eq!(
                 crate::TrgChains::new().place(&ctx),
-                reference_layout(&ctx, &prof.trg_select)
+                reference_layout(&ctx, &ref_trg)
             );
         }
     }
@@ -327,7 +361,9 @@ mod tests {
         // side bounds the visits by 2·E·⌈log₂ n⌉.
         let n: u32 = 2_000;
         let (p, mut prof) = bare_profile(&vec![64; n as usize]);
-        prof.wcg = (0..n - 1).map(|i| (i, i + 1, f64::from(n - i))).collect();
+        let path: Vec<_> = (0..n - 1).map(|i| (i, i + 1, f64::from(n - i))).collect();
+        let (wcg, reference) = graphs(&path);
+        prof.wcg = wcg;
         let ctx = PlacementContext::new(&p, &prof);
         let registry = std::sync::Arc::new(tempo_obs::Registry::new());
         let metered = {
@@ -345,7 +381,7 @@ mod tests {
             "{scanned} adjacency entries scanned for {edges} edges"
         );
         // The count is a side record: the layout is the reference's.
-        assert_eq!(metered, reference_layout(&ctx, &prof.wcg));
+        assert_eq!(metered, reference_layout(&ctx, &reference));
     }
 
     #[test]

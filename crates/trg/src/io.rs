@@ -138,6 +138,15 @@ pub fn write_profile<W: Write>(mut w: W, profile: &ProfileData) -> Result<(), Pr
     Ok(())
 }
 
+/// A weight field: a finite, positive `f64`, as every writer emits (event
+/// counts, and their decayed or perturbed multiples).
+fn weight(field: &str) -> Option<f64> {
+    field
+        .parse::<f64>()
+        .ok()
+        .filter(|w| w.is_finite() && *w > 0.0)
+}
+
 struct LineReader<R: BufRead> {
     lines: std::io::Lines<R>,
     lineno: usize,
@@ -166,7 +175,13 @@ impl<R: BufRead> LineReader<R> {
 ///
 /// # Errors
 ///
-/// Fails on I/O errors or any structural problem in the input.
+/// Fails on I/O errors or any structural problem in the input. Besides
+/// malformed lines, an edge line is a [`BadLine`](ProfileIoError::BadLine)
+/// when it is a self-loop, when its weight is not finite and positive, or
+/// (in `wcg` and `trg_select`) when an id is not below the file's
+/// `popular` procedure count; so is a pair-database line whose three
+/// blocks are not distinct or whose weight is bad. Whether the chunk ids
+/// fit a program is [`ProfileData::fits`]'s question.
 pub fn read_profile<R: BufRead>(r: R) -> Result<ProfileData, ProfileIoError> {
     let mut lr = LineReader {
         lines: r.lines(),
@@ -252,8 +267,11 @@ pub fn read_profile<R: BufRead>(r: R) -> Result<ProfileData, ProfileIoError> {
     }
     let popular = PopularSet::from_parts(flags, counts);
 
+    // Procedure-grain graphs name procedures, so their ids must fall below
+    // the file's own procedure count; chunk ids need the program, which
+    // `ProfileData::fits` checks.
     let mut graphs = Vec::with_capacity(3);
-    for expected in ["wcg", "trg_select", "trg_place"] {
+    for (expected, id_bound) in [("wcg", n), ("trg_select", n), ("trg_place", usize::MAX)] {
         let (ln, head) = lr.expect(expected)?;
         let mut parts = head.split_whitespace();
         if parts.next() != Some(expected) {
@@ -263,7 +281,7 @@ pub fn read_profile<R: BufRead>(r: R) -> Result<ProfileData, ProfileIoError> {
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or(ProfileIoError::BadLine { line: ln })?;
-        let mut g = WeightedGraph::new();
+        let mut lines = Vec::new();
         for _ in 0..edges {
             let (ln, line) = lr.expect("edge")?;
             let mut parts = line.split_whitespace();
@@ -272,18 +290,20 @@ pub fn read_profile<R: BufRead>(r: R) -> Result<ProfileData, ProfileIoError> {
             else {
                 return Err(ProfileIoError::BadLine { line: ln });
             };
-            let a: u32 = a
-                .parse()
-                .map_err(|_| ProfileIoError::BadLine { line: ln })?;
-            let b: u32 = b
-                .parse()
-                .map_err(|_| ProfileIoError::BadLine { line: ln })?;
-            let wt: f64 = wt
-                .parse()
-                .map_err(|_| ProfileIoError::BadLine { line: ln })?;
-            g.add_weight(a, b, wt);
+            let id = |s: &str| {
+                s.parse::<u32>()
+                    .ok()
+                    .filter(|&i| (i as usize) < id_bound)
+                    .ok_or(ProfileIoError::BadLine { line: ln })
+            };
+            let (a, b) = (id(a)?, id(b)?);
+            let wt = weight(wt).ok_or(ProfileIoError::BadLine { line: ln })?;
+            if a == b {
+                return Err(ProfileIoError::BadLine { line: ln });
+            }
+            lines.push((a, b, wt));
         }
-        graphs.push(g);
+        graphs.push(lines.into_iter().collect::<WeightedGraph>());
     }
     let trg_place = graphs.pop().expect("three graphs parsed");
     let trg_select = graphs.pop().expect("two graphs remain");
@@ -317,13 +337,12 @@ pub fn read_profile<R: BufRead>(r: R) -> Result<ProfileData, ProfileIoError> {
                     s.parse::<u32>()
                         .map_err(|_| ProfileIoError::BadLine { line: ln })
                 };
-                db.add(
-                    parse_u32(p)?,
-                    parse_u32(rr)?,
-                    parse_u32(ss)?,
-                    wt.parse()
-                        .map_err(|_| ProfileIoError::BadLine { line: ln })?,
-                );
+                let (p, r, s) = (parse_u32(p)?, parse_u32(rr)?, parse_u32(ss)?);
+                let wt = weight(wt).ok_or(ProfileIoError::BadLine { line: ln })?;
+                if r == s || p == r || p == s {
+                    return Err(ProfileIoError::BadLine { line: ln });
+                }
+                db.add(p, r, s, wt);
             }
             Some(db)
         }
@@ -498,6 +517,54 @@ mod tests {
              wcg 0\ntrg_select 0\ntrg_place 0\npairdb {huge}\n"
         );
         assert!(read_profile(pairdb.as_bytes()).is_err());
+    }
+
+    /// A small valid profile in which `line` replaces the one entry line
+    /// of the section whose header starts with `section`.
+    fn edited(section: &str, line: &str) -> String {
+        let mut text = String::from(
+            "tempo-profile v1\ncache 8192 32 1\nqstats 0 0 0 0\npopular 3\n5 1\n5 1\n5 1\n",
+        );
+        for (name, entry) in [
+            ("wcg 1", "0 1 2"),
+            ("trg_select 1", "1 2 2"),
+            ("trg_place 1", "0 5 2"),
+            ("pairdb 1", "0 1 2 1"),
+        ] {
+            let entry = if name.starts_with(section) {
+                line
+            } else {
+                entry
+            };
+            text.push_str(&format!("{name}\n{entry}\n"));
+        }
+        text
+    }
+
+    #[test]
+    fn hostile_edge_lines_are_bad_lines() {
+        assert!(read_profile(edited("none", "").as_bytes()).is_ok());
+        let bad_line =
+            |section: &str, line: &str| match read_profile(edited(section, line).as_bytes()) {
+                Err(ProfileIoError::BadLine { line }) => line,
+                other => panic!("{section} `{line}`: {other:?}"),
+            };
+        for section in ["wcg", "trg_select", "trg_place"] {
+            for line in [
+                "0 0 332", "1 2 NaN", "1 2 inf", "1 2 -inf", "1 2 -3", "1 2 0", "1 2 -0",
+            ] {
+                bad_line(section, line);
+            }
+        }
+        // Procedure ids must fall below the file's `popular` count.
+        assert_eq!(bad_line("wcg", "4000000000 1 332"), 9);
+        assert_eq!(bad_line("trg_select", "0 3 1"), 11);
+        // Chunk ids are checked against a program, by `ProfileData::fits`.
+        let far = read_profile(edited("trg_place", "4000000000 1 7").as_bytes()).unwrap();
+        assert_eq!(far.trg_place.weight(1, 4_000_000_000), 7.0);
+        for line in ["5 5 7 1", "5 6 5 1", "5 6 7 NaN", "5 6 7 0"] {
+            bad_line("pairdb", line);
+        }
     }
 
     #[test]

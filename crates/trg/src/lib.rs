@@ -60,6 +60,8 @@ mod pairdb;
 mod popular;
 mod profiler;
 mod qset;
+#[cfg(test)]
+mod reference_graph;
 
 pub use graph::{Edge, WeightedGraph};
 pub use pairdb::PairDb;

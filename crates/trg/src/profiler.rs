@@ -9,20 +9,23 @@ use tempo_trace::io::TraceIoError;
 use tempo_trace::{MemorySource, Trace, TraceRecord, TraceSink, TraceSource};
 
 use crate::fasthash::IdMap;
+use crate::graph::RowMerge;
 use crate::pairdb::pack_pair;
 use crate::{PairDb, PopularSet, PopularitySelector, QSet, WeightedGraph};
 
 /// Exact integer edge tallies standing between the per-record hot path and
 /// a [`WeightedGraph`], kept as one small row per focal block.
 ///
-/// `WeightedGraph::add_weight` costs a `BTreeMap` update (plus two
-/// `BTreeSet` adjacency inserts for a new edge); paying that per trace
-/// event dominates profiling wall time. Each event instead bumps
-/// `rows[a][b]` — a directed count in the focal block `a`'s own table —
-/// and [`add_to`](EdgeAcc::add_to) symmetrizes once per profile:
-/// `w{a, b} = rows[a][b] + rows[b][a]`, added to the graph once per edge.
-/// The result is bit-identical to per-event `add_weight(a, b, 1.0)` calls:
-/// integer counts below 2^53 convert to `f64` exactly.
+/// Each event bumps `rows[a][b]` — a directed count in the focal block
+/// `a`'s own hashed table — instead of touching a graph.
+/// [`into_rows`](EdgeAcc::into_rows) symmetrizes once per profile,
+/// `w{a, b} = rows[a][b] + rows[b][a]`, into one sorted row per node,
+/// which [`into_graph`](EdgeAcc::into_graph) stores and
+/// [`fold_into`](EdgeAcc::fold_into) merges into a window's rows: graph
+/// rows are built in bulk, never edge by edge. The result is bit-identical
+/// to per-event `add_weight(a, b, 1.0)` calls: integer counts below 2^53
+/// convert to `f64` exactly, and a node's sorted row holds the same
+/// entries whatever order the events came in.
 #[derive(Debug, Default, Clone)]
 struct EdgeAcc {
     /// `rows[a][b]`: events on `{a, b}` seen from focal block `a`, modulo
@@ -77,44 +80,131 @@ impl EdgeAcc {
         }
     }
 
-    /// The exact directed count `rows[a][b]`, if the row has the entry.
-    fn count(&self, a: u32, b: u32) -> Option<u64> {
-        let n = u64::from(*self.rows.get(a as usize)?.get(&b)?);
-        let wrapped = if self.carry.is_empty() {
-            0
-        } else {
-            self.carry.get(&directed(a, b)).copied().unwrap_or(0)
-        };
-        Some(n + wrapped)
-    }
-
-    /// Symmetrizes the rows into `graph`, adding each edge exactly once:
-    /// from the smaller endpoint's row, or from the larger's when the
-    /// smaller endpoint's row lacks it. Returns the number of edges added.
+    /// Symmetrizes the tallies, `w{a, b} = rows[a][b] + rows[b][a]`, and
+    /// hands `visit` each node's row, sorted by neighbour, in ascending
+    /// node order. Returns the number of edges.
     ///
-    /// Adding each edge once with its whole count is what
-    /// [`WeightedGraph::merge_from`] does with a graph built from the same
-    /// rows, so folding into a non-empty graph is bit-identical to
-    /// building the graph and merging it.
+    /// Two transposes and a merge, with no hash lookup and no comparison
+    /// sort, over two flat buffers of 8 bytes per directed count: walking
+    /// the focal rows in id order lays out each node's incoming counts
+    /// `(a, rows[a][b])` sorted by `a`, dropping each focal row once it is
+    /// read; walking those in id order lays out each node's own counts
+    /// sorted by neighbour; each node then merges the two.
     #[allow(clippy::cast_possible_truncation)] // row indices are u32 ids
     #[allow(clippy::cast_precision_loss)] // counts are far below 2^53
-    fn add_to(&self, graph: &mut WeightedGraph) -> usize {
-        let mut edges = 0;
-        for (a, row) in self.rows.iter().enumerate() {
-            let a = a as u32;
+    fn into_rows(self, mut visit: impl FnMut(u32, &[(u32, f64)])) -> usize {
+        let EdgeAcc { rows, carry } = self;
+        // CSR bounds: `own` over each node's own counts, `incoming` over
+        // the counts other rows hold of it.
+        let mut incoming = vec![0usize; rows.len() + 1];
+        let mut own = Vec::with_capacity(rows.len() + 1);
+        own.push(0);
+        for row in &rows {
+            own.push(own.last().copied().unwrap_or(0) + row.len());
+            if row.is_empty() {
+                continue;
+            }
             for &b in row.keys() {
-                let ab = self.count(a, b).unwrap_or(0);
-                let w = if a < b {
-                    ab + self.count(b, a).unwrap_or(0)
-                } else if self.count(b, a).is_none() {
-                    ab
-                } else {
-                    continue; // added from row `b`
-                };
-                graph.add_weight(a, b, w as f64);
-                edges += 1;
+                let b = b as usize;
+                if b + 1 >= incoming.len() {
+                    incoming.resize(b + 2, 0);
+                }
+                incoming[b + 1] += 1;
             }
         }
+        let nodes = incoming.len() - 1;
+        own.resize(nodes + 1, own.last().copied().unwrap_or(0));
+        for i in 1..incoming.len() {
+            incoming[i] += incoming[i - 1];
+        }
+        let total = own[nodes];
+        let mut into = vec![(0u32, 0u32); total];
+        let mut next = incoming.clone();
+        for (a, row) in rows.into_iter().enumerate() {
+            if row.is_empty() {
+                continue;
+            }
+            for (b, n) in row {
+                into[next[b as usize]] = (a as u32, n);
+                next[b as usize] += 1;
+            }
+        }
+        let mut from = vec![(0u32, 0u32); total];
+        next.clone_from(&own);
+        for b in 0..nodes {
+            for &(a, n) in &into[incoming[b]..incoming[b + 1]] {
+                from[next[a as usize]] = (b as u32, n);
+                next[a as usize] += 1;
+            }
+        }
+        // The exact count `rows[a][b]`, wrapped multiples of 2^32 included.
+        let count = |a: u32, b: u32, n: u32| {
+            u64::from(n)
+                + if carry.is_empty() {
+                    0
+                } else {
+                    carry.get(&directed(a, b)).copied().unwrap_or(0)
+                }
+        };
+        let (mut row, mut entries) = (Vec::new(), 0);
+        for x in 0..nodes {
+            if own[x] == own[x + 1] && incoming[x] == incoming[x + 1] {
+                continue;
+            }
+            let a = x as u32;
+            let (mut out, mut inc) = (
+                from[own[x]..own[x + 1]].iter().peekable(),
+                into[incoming[x]..incoming[x + 1]].iter().peekable(),
+            );
+            row.clear();
+            loop {
+                let (b, w) = match (out.peek(), inc.peek()) {
+                    (None, None) => break,
+                    (Some(&&(b, n)), Some(&&(c, m))) if b == c => {
+                        out.next();
+                        inc.next();
+                        (b, count(a, b, n) + count(b, a, m))
+                    }
+                    (Some(&&(b, n)), Some(&&(c, _))) if b < c => {
+                        out.next();
+                        (b, count(a, b, n))
+                    }
+                    (Some(&&(b, n)), None) => {
+                        out.next();
+                        (b, count(a, b, n))
+                    }
+                    (_, Some(&&(c, m))) => {
+                        inc.next();
+                        (c, count(c, a, m))
+                    }
+                };
+                row.push((b, w as f64));
+            }
+            if !row.is_empty() {
+                entries += row.len();
+                visit(a, &row);
+            }
+        }
+        entries / 2
+    }
+
+    /// The symmetrized graph of the tallies (see
+    /// [`into_rows`](Self::into_rows)), each row stored at its exact
+    /// length.
+    fn into_graph(self) -> WeightedGraph {
+        let mut graph = WeightedGraph::new();
+        self.into_rows(|n, row| graph.push_row(n, row));
+        graph.rows_pushed()
+    }
+
+    /// Folds the tallies into `graph` row by row, each row as one sorted
+    /// merge: the same graph, bit for bit, as merging
+    /// [`into_graph`](Self::into_graph)'s result. Returns the number of
+    /// edges folded.
+    fn fold_into(self, graph: &mut WeightedGraph) -> usize {
+        let mut merge = RowMerge::new(graph);
+        let edges = self.into_rows(|n, row| merge.row(n, row));
+        merge.finish();
         edges
     }
 }
@@ -429,6 +519,50 @@ impl ProfileData {
         }
         self.q_stats.retire(&epoch.q_stats);
         tempo_obs::counter("profile.retires").incr();
+        Ok(())
+    }
+
+    /// Whether the profile can drive placement for `program`, as
+    /// [`TraceRecord::fits`] is for a record: one popularity entry per
+    /// procedure, WCG and `TRG_select` ids below the procedure count, and
+    /// `TRG_place` and pair-database ids below the chunk count. A profile
+    /// read from a file meets the rest by construction (no self-loops,
+    /// finite positive weights), so this is the whole check a loaded
+    /// profile needs before placement indexes the program with its ids.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first mismatch.
+    pub fn fits(&self, program: &Program) -> Result<(), String> {
+        if self.popular.len() != program.len() {
+            return Err(format!(
+                "profile covers {} procedures, program has {}",
+                self.popular.len(),
+                program.len()
+            ));
+        }
+        let procs = program.len();
+        let chunks = program.chunk_count() as usize;
+        for (name, graph, bound, what) in [
+            ("wcg", &self.wcg, procs, "procedures"),
+            ("trg_select", &self.trg_select, procs, "procedures"),
+            ("trg_place", &self.trg_place, chunks, "chunks"),
+        ] {
+            if let Some(n) = graph.nodes().find(|&n| n as usize >= bound) {
+                return Err(format!("{name} names node {n}, program has {bound} {what}"));
+            }
+        }
+        if let Some(db) = &self.pair_db {
+            if let Some((k, _)) = db
+                .iter()
+                .find(|(k, _)| [k.p, k.r, k.s].iter().any(|&c| c as usize >= chunks))
+            {
+                return Err(format!(
+                    "pair database names chunks ({}, {{{}, {}}}), program has {chunks} chunks",
+                    k.p, k.r, k.s
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -756,15 +890,16 @@ impl ProfileStream<'_> {
     /// `profile.records` (accepted records), `profile.qset_proc_evictions`
     /// / `profile.qset_chunk_evictions` (the §3 residency bound at work),
     /// the edge counts of the three graphs, and dropped/clamped tallies.
-    pub fn finish(self) -> ProfileData {
-        // Insertion order cannot influence a BTree-backed graph's content,
-        // and the integer counts sum exactly, so the graphs are identical
-        // to per-event `add_weight` calls.
-        let (mut wcg, mut trg_select, mut trg_place) = Default::default();
+    pub fn finish(mut self) -> ProfileData {
+        let (wcg, trg_select, trg_place) = (
+            std::mem::take(&mut self.wcg_acc).into_graph(),
+            std::mem::take(&mut self.select_acc).into_graph(),
+            std::mem::take(&mut self.place_acc).into_graph(),
+        );
         self.note_pass([
-            self.wcg_acc.add_to(&mut wcg),
-            self.select_acc.add_to(&mut trg_select),
-            self.place_acc.add_to(&mut trg_place),
+            wcg.edge_count(),
+            trg_select.edge_count(),
+            trg_place.edge_count(),
         ]);
         let q_stats = self.q_stats();
         ProfileData {
@@ -778,22 +913,22 @@ impl ProfileStream<'_> {
         }
     }
 
-    /// Folds the stream's tallies straight into `window`: the result, and
-    /// every counter reported, equal [`finish`](ProfileStream::finish)
-    /// followed by [`window.merge`](ProfileData::merge), but no graph of
-    /// the stream's own is built. This is the epoch step of a profile
-    /// window (DESIGN.md §15).
+    /// Folds the stream's tallies into `window`: the result, and every
+    /// counter reported, equal [`finish`](ProfileStream::finish) followed
+    /// by [`window.merge`](ProfileData::merge). Each of the epoch's sorted
+    /// rows is merged into the window's row as one sorted merge. This is
+    /// the epoch step of a profile window (DESIGN.md §15).
     ///
     /// # Errors
     ///
     /// Fails without modifying `window` under the same compatibility rules
     /// as [`merge`](ProfileData::merge).
-    pub fn fold_into(self, window: &mut ProfileData) -> Result<(), MergeError> {
+    pub fn fold_into(mut self, window: &mut ProfileData) -> Result<(), MergeError> {
         window.check_compatible(self.cache, &self.popular, self.pair_db.is_some())?;
         let edges = [
-            self.wcg_acc.add_to(&mut window.wcg),
-            self.select_acc.add_to(&mut window.trg_select),
-            self.place_acc.add_to(&mut window.trg_place),
+            std::mem::take(&mut self.wcg_acc).fold_into(&mut window.wcg),
+            std::mem::take(&mut self.select_acc).fold_into(&mut window.trg_select),
+            std::mem::take(&mut self.place_acc).fold_into(&mut window.trg_place),
         ];
         self.note_pass(edges);
         window.merge_tallies(&self.popular, self.pair_db.as_ref(), &self.q_stats());
@@ -883,6 +1018,34 @@ mod tests {
     }
 
     #[test]
+    fn fits_checks_every_id_against_the_program() {
+        let p = program();
+        let mut prof = Profiler::new(&p, CacheConfig::two_way_8k())
+            .popularity(PopularitySelector::all())
+            .with_pair_db(true)
+            .profile(&trace1(&p, 10));
+        assert_eq!(prof.fits(&p), Ok(()));
+        let smaller = Program::builder().procedure("m", 128).build().unwrap();
+        assert!(prof
+            .fits(&smaller)
+            .unwrap_err()
+            .contains("covers 4 procedures"));
+
+        let chunks = p.chunk_count();
+        let mut far = prof.clone();
+        far.wcg.add_weight(0, 4, 1.0);
+        assert!(far.fits(&p).unwrap_err().contains("wcg names node 4"));
+        let mut far = prof.clone();
+        far.trg_select.add_weight(1, 9, 1.0);
+        assert!(far.fits(&p).unwrap_err().contains("trg_select"));
+        let mut far = prof.clone();
+        far.trg_place.add_weight(0, chunks, 1.0);
+        assert!(far.fits(&p).unwrap_err().contains("trg_place"));
+        prof.pair_db.as_mut().unwrap().add(0, 1, chunks + 7, 1.0);
+        assert!(prof.fits(&p).unwrap_err().contains("pair database"));
+    }
+
+    #[test]
     fn edge_rows_symmetrize_each_edge_once() {
         let mut acc = EdgeAcc::default();
         acc.row(1).bump(4); // {1, 4} seen from both ends
@@ -890,8 +1053,7 @@ mod tests {
         acc.row(4).bump(1);
         acc.row(7).bump(2); // {2, 7} seen only from the larger end
         acc.row(0).bump(9); // {0, 9} seen only from the smaller end
-        let mut g = WeightedGraph::new();
-        assert_eq!(acc.add_to(&mut g), 3);
+        let g = acc.into_graph();
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.weight(1, 4), 3.0);
         assert_eq!(g.weight(2, 7), 1.0);
@@ -908,8 +1070,7 @@ mod tests {
         acc.row(3).bump(5); // wraps to 0, carrying 2^32
         acc.row(3).bump(5);
         acc.row(5).bump(3);
-        let mut g = WeightedGraph::new();
-        acc.add_to(&mut g);
+        let g = acc.into_graph();
         assert_eq!(g.weight(3, 5), (1u64 << 32) as f64 + 2.0);
     }
 
