@@ -191,16 +191,22 @@ impl Analyzer {
     }
 
     /// Analyzes one layout.
+    ///
+    /// Times its three layers as the `analyze.rules`, `analyze.predict`
+    /// and `analyze.miss_bounds` spans.
     pub fn analyze(&self, input: &AnalysisInput<'_>) -> AnalysisReport {
         let mut report = AnalysisReport::new();
+        let span = tempo_obs::span("analyze.rules");
         for rule in rules::registry() {
             rule.check(input, &mut report);
         }
+        span.finish();
         // The predictor analyzes whatever prefix of the procedure ids the
         // layout covers; a partial layout still yields pressure data for
         // the covered subset, flagged with a partial-coverage note.
         let covered = input.program.len().min(input.layout.len());
         if covered > 0 {
+            let span = tempo_obs::span("analyze.predict");
             report.set_prediction(predictor::predict(
                 input.program,
                 input.layout,
@@ -208,6 +214,7 @@ impl Analyzer {
                 input.trg_place,
                 self.top_k,
             ));
+            span.finish();
             if covered < input.program.len() {
                 report.push(
                     Diagnostic::new(
@@ -225,6 +232,7 @@ impl Analyzer {
         }
         if self.with_bounds && covered > 0 {
             if let Some(popular) = input.popular {
+                let _span = tempo_obs::span("analyze.miss_bounds");
                 report.set_bounds(bounds::miss_bounds(
                     input.program,
                     input.layout,

@@ -1,15 +1,15 @@
 //! The CLI subcommand implementations.
 
 use std::fs::File;
-use std::io::{BufRead as _, BufReader, BufWriter, Write as _};
+use std::io::{BufReader, BufWriter, Write as _};
 use std::path::Path;
 
 use tempo::cache::classify;
 use tempo::place::algorithm_for;
 use tempo::prelude::*;
 use tempo::trace::analysis::{reuse_distances, working_set_sizes};
-use tempo::trace::io::{ReadMode, TraceIoError, V1Source, V1Writer};
-use tempo::trace::v2::{V2Source, V2Writer, DEFAULT_FRAME_RECORDS, MAGIC_V2};
+use tempo::trace::io::{ReadMode, TraceIoError};
+use tempo::trace::v2::V2Source;
 use tempo::trg::io::{read_profile, write_profile};
 use tempo::workloads::suite;
 
@@ -46,100 +46,35 @@ fn trace_read_mode(args: &ArgMap) -> Result<ReadMode, CliError> {
     })
 }
 
-/// A trace source over an open file, either container format.
+/// A TMP2 trace file opened as a streaming source.
 ///
-/// Strict mode optionally carries the program so records are validated as
-/// they stream past (the streaming analogue of [`Trace::validate`]); lossy
+/// Strict mode carries the program so records are validated as they
+/// stream past (the streaming analogue of [`Trace::validate`]); lossy
 /// sources repair against the program at the format layer instead.
-enum FileSource<'p> {
-    V1 {
-        source: V1Source<'p, BufReader<File>>,
-        validate: Option<&'p Program>,
-        index: u64,
-    },
-    V2 {
-        source: V2Source<'p, BufReader<File>>,
-        validate: Option<&'p Program>,
-        index: u64,
-    },
+struct FileSource<'p> {
+    source: V2Source<'p, BufReader<File>>,
+    validate: Option<&'p Program>,
+    index: u64,
 }
 
 impl TraceSource for FileSource<'_> {
     fn try_next(&mut self) -> Result<Option<TraceRecord>, TraceIoError> {
-        let (next, validate, index) = match self {
-            FileSource::V1 {
-                source,
-                validate,
-                index,
-            } => (source.try_next()?, *validate, index),
-            FileSource::V2 {
-                source,
-                validate,
-                index,
-            } => (source.try_next()?, *validate, index),
-        };
-        if let (Some(r), Some(program)) = (&next, validate) {
+        let next = self.source.try_next()?;
+        if let (Some(r), Some(program)) = (&next, self.validate) {
             if !r.fits(program) {
                 return Err(TraceIoError::Io(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
-                    format!("trace record {index} does not fit the program"),
+                    format!("trace record {} does not fit the program", self.index),
                 )));
             }
         }
-        *index += 1;
+        self.index += 1;
         Ok(next)
     }
 
     fn warnings(&self) -> TraceWarnings {
-        match self {
-            FileSource::V1 { source, .. } => source.warnings(),
-            FileSource::V2 { source, .. } => source.warnings(),
-        }
+        self.source.warnings()
     }
-
-    fn expected_records(&self) -> Option<u64> {
-        match self {
-            FileSource::V1 { source, .. } => source.expected_records(),
-            FileSource::V2 { source, .. } => source.expected_records(),
-        }
-    }
-}
-
-/// Opens a trace file as a streaming source, sniffing the container format
-/// from the magic bytes (`TMPO` = v1, `TMP2` = v2). Lossy sources repair
-/// against `program` when one is given, structurally otherwise; no
-/// program-fit validation is attached (see [`open_file_source`]).
-fn open_raw_source<'p>(
-    path: &str,
-    program: Option<&'p Program>,
-    mode: ReadMode,
-) -> Result<FileSource<'p>, TraceIoError> {
-    let mut r = BufReader::new(File::open(Path::new(path))?);
-    // Peek without consuming; the constructors re-read the magic.
-    let head = r.fill_buf()?;
-    let is_v2 = head.len() >= 4 && head[0..4] == MAGIC_V2;
-    Ok(match (is_v2, mode) {
-        (false, ReadMode::Strict) => FileSource::V1 {
-            source: V1Source::new(r)?,
-            validate: None,
-            index: 0,
-        },
-        (false, ReadMode::Lossy) => FileSource::V1 {
-            source: V1Source::new_lossy(r, program)?,
-            validate: None,
-            index: 0,
-        },
-        (true, ReadMode::Strict) => FileSource::V2 {
-            source: V2Source::new(r)?,
-            validate: None,
-            index: 0,
-        },
-        (true, ReadMode::Lossy) => FileSource::V2 {
-            source: V2Source::new_lossy(r, program)?,
-            validate: None,
-            index: 0,
-        },
-    })
 }
 
 /// Opens a trace file for a command that interprets it against `program`:
@@ -150,37 +85,32 @@ fn open_file_source<'p>(
     program: &'p Program,
     mode: ReadMode,
 ) -> Result<FileSource<'p>, TraceIoError> {
-    let mut source = open_raw_source(path, Some(program), mode)?;
-    if matches!(mode, ReadMode::Strict) {
-        let v = match &mut source {
-            FileSource::V1 { validate, .. } | FileSource::V2 { validate, .. } => validate,
-        };
-        *v = Some(program);
-    }
-    Ok(source)
+    let r = BufReader::new(File::open(Path::new(path))?);
+    Ok(match mode {
+        ReadMode::Strict => FileSource {
+            source: V2Source::new(r)?,
+            validate: Some(program),
+            index: 0,
+        },
+        ReadMode::Lossy => FileSource {
+            source: V2Source::new_lossy(r, Some(program))?,
+            validate: None,
+            index: 0,
+        },
+    })
 }
 
-/// Enforces the `--max-memory` budget (in MB) before a trace is
-/// materialized: the declared record count must fit, and a v2 stream
-/// (which declares no count) always requires `--stream`.
-fn check_memory_budget(args: &ArgMap, source: &FileSource<'_>, flag: &str) -> Result<(), CliError> {
-    let Some(mb) = args.get_parsed::<u64>("max-memory")? else {
+/// Enforces the `--max-memory` budget before a trace is materialized: a
+/// TMP2 stream declares no record count, so a budget always requires
+/// `--stream`.
+fn check_memory_budget(args: &ArgMap, flag: &str) -> Result<(), CliError> {
+    if args.get_parsed::<u64>("max-memory")?.is_none() {
         return Ok(());
-    };
-    let budget = mb.saturating_mul(1024 * 1024);
-    let record_size = std::mem::size_of::<TraceRecord>() as u64;
-    match source.expected_records() {
-        Some(n) if n.saturating_mul(record_size) <= budget => Ok(()),
-        Some(n) => Err(CliError::Usage(format!(
-            "materializing {n} records needs ~{} MB, over the --max-memory {mb} MB budget; \
-             rerun with --stream",
-            (n.saturating_mul(record_size)).div_ceil(1024 * 1024),
-        ))),
-        None => Err(CliError::Usage(format!(
-            "--{flag} is a v2 stream with no declared record count; \
-             --max-memory requires --stream to bound memory"
-        ))),
     }
+    Err(CliError::Usage(format!(
+        "--{flag} is a v2 stream with no declared record count; \
+         --max-memory requires --stream to bound memory"
+    )))
 }
 
 /// Maps a streaming-read failure to the CLI error taxonomy: program-fit
@@ -203,7 +133,7 @@ fn load_trace(
 ) -> Result<Trace, CliError> {
     let path = args.require(flag)?;
     let mut source = open_file_source(path, program, mode).map_err(trace_cli_error)?;
-    check_memory_budget(args, &source, flag)?;
+    check_memory_budget(args, flag)?;
     let mut trace = Trace::new();
     let summary = pump(&mut source, &mut trace).map_err(trace_cli_error)?;
     match mode {
@@ -305,16 +235,20 @@ pub fn generate(args: &ArgMap) -> Result<(), CliError> {
         if let Some(seed) = seed {
             spec.seed = seed;
         }
-        let trace = model.trace(&spec, records);
-        tempo::trace::io::write_binary(create(path)?, &trace)
-            .map_err(|e| CliError::parse("trace", e))?;
-        println!("wrote {path}: {} records ({input} input)", trace.len());
+        // Streamed from the generator into TMP2 frames: the trace is
+        // never materialized, whatever --records asks for.
+        let written = tempo::trace::testkit::write_v2_file(
+            Path::new(path),
+            &mut model.trace_source(&spec, records),
+        )
+        .map_err(|e| CliError::parse("trace", e))?;
+        println!("wrote {path}: {written} records ({input} input)");
         tempo_obs::event(
             "generate",
             "trace written",
             &[
                 ("bench", bench.as_str().into()),
-                ("records", trace.len().into()),
+                ("records", written.into()),
                 ("path", path.as_str().into()),
             ],
         );
@@ -498,27 +432,14 @@ pub fn engine(args: &ArgMap) -> Result<(), CliError> {
     config.replace_threshold = replace_threshold;
     config.evaluate = evaluate || epochs_out.is_some();
 
-    // Frame-aligned epoch plan for v2 containers; v1 traces chunk by plain
-    // record count.
-    let plan = {
-        let mut r = open(&trace_path)?;
-        let head = r.fill_buf()?;
-        if head.len() >= 4 && head[0..4] == MAGIC_V2 {
-            let frames = tempo::trace::v2::scan_frames(r).map_err(trace_cli_error)?;
-            Some(tempo::plan_epochs(&frames, epoch_records))
-        } else {
-            None
-        }
-    };
+    // Epochs align to frame boundaries.
+    let frames = tempo::trace::v2::scan_frames(open(&trace_path)?).map_err(trace_cli_error)?;
+    let plan = tempo::plan_epochs(&frames, epoch_records);
 
     let span = tempo_obs::span("stage.engine");
     let mut engine = tempo::Engine::new(&program, &*algorithm, config);
     let source = open_file_source(&trace_path, &program, mode).map_err(trace_cli_error)?;
-    let reports = match &plan {
-        Some(plan) => engine.run_planned(source, plan),
-        None => engine.run_source(source),
-    }
-    .map_err(trace_cli_error)?;
+    let reports = engine.run_planned(source, &plan).map_err(trace_cli_error)?;
     span.finish();
 
     let Some(layout) = engine.layout() else {
@@ -685,72 +606,6 @@ pub fn simulate(args: &ArgMap) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `convert`: transcode a trace between the v1 (fixed-record) and v2
-/// (chunked, CRC-framed) binary containers, streaming record-by-record in
-/// constant memory. The input format is sniffed from the magic bytes;
-/// `--lossy` resyncs past defective frames/records instead of failing.
-pub fn convert(args: &ArgMap) -> Result<(), CliError> {
-    let input = args.require("in")?.to_string();
-    let out = args.require("out")?.to_string();
-    let to = args.require("to")?.to_string();
-    let mode = trace_read_mode(args)?;
-    let frame_records: usize = args.get_or("frame-records", DEFAULT_FRAME_RECORDS)?;
-    if frame_records == 0 {
-        return Err(CliError::Usage(
-            "--frame-records must be at least 1".to_string(),
-        ));
-    }
-    // Lossy repair consults the program when one is supplied; without it,
-    // recovery is purely structural (frame/record resync).
-    let program = match args.get("program") {
-        Some(_) => Some(load_program(args)?),
-        None => None,
-    };
-    args.finish()?;
-
-    // Conversion is format-level (records are copied verbatim), so no
-    // program-fit validation is attached either way.
-    let mut source =
-        open_raw_source(&input, program.as_ref(), mode).map_err(|e| CliError::parse("trace", e))?;
-
-    let (records, warnings) = match to.as_str() {
-        "v1" => {
-            let mut w = V1Writer::new(create(&out)?).map_err(|e| CliError::parse("trace", e))?;
-            let summary = pump(&mut source, &mut w).map_err(|e| CliError::parse("trace", e))?;
-            let mut f = w.finish().map_err(|e| CliError::parse("trace", e))?;
-            f.flush()?;
-            (summary.records, summary.warnings)
-        }
-        "v2" => {
-            let mut w = V2Writer::with_frame_records(create(&out)?, frame_records)
-                .map_err(|e| CliError::parse("trace", e))?;
-            let summary = pump(&mut source, &mut w).map_err(|e| CliError::parse("trace", e))?;
-            let mut f = w.finish().map_err(|e| CliError::parse("trace", e))?;
-            f.flush()?;
-            (summary.records, summary.warnings)
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "--to must be v1 or v2, got `{other}`"
-            )))
-        }
-    };
-    if !warnings.is_clean() {
-        eprintln!("tempo-cli: warning: --in {input}: recovered ({warnings})");
-    }
-    tempo_obs::event(
-        "convert",
-        "trace transcoded",
-        &[
-            ("records", records.into()),
-            ("to", to.as_str().into()),
-            ("defects", warnings.total().into()),
-        ],
-    );
-    println!("wrote {out}: {records} records ({to})");
-    Ok(())
-}
-
 /// `analyze`: lint a layout and statically predict its conflict misses.
 ///
 /// Exit status: `0` when the report is clean, `1` when it contains
@@ -804,10 +659,12 @@ pub fn analyze(args: &ArgMap) -> Result<(), CliError> {
             .with_wcg(&p.wcg)
             .with_popular(&p.popular);
     }
+    let span = tempo_obs::span("stage.analyze");
     let report = Analyzer::new()
         .with_top_k(top_k)
         .with_bounds(bounds)
         .analyze(&input);
+    span.finish();
     match format.as_str() {
         "text" => print!("{}", report.render_text(&program)),
         "json" => println!("{}", report.render_json(&program)),

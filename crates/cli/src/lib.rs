@@ -58,7 +58,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         "place" => commands::place(&parsed),
         "engine" => commands::engine(&parsed),
         "simulate" => commands::simulate(&parsed),
-        "convert" => commands::convert(&parsed),
         "analyze" => commands::analyze(&parsed),
         "trace-stats" => commands::trace_stats(&parsed),
         "compare" => commands::compare(&parsed),
@@ -92,7 +91,8 @@ tempo-cli — temporal-ordering procedure placement (Gloy et al., MICRO-30 1997)
 commands:
   generate  --bench NAME --records N [--input train|test] [--seed N]
             [--program FILE] [--trace FILE]
-      synthesize a Table-1 benchmark program and/or trace
+      synthesize a Table-1 benchmark program and/or trace; the trace
+      streams straight into a TMP2 file
   profile   --program FILE --trace FILE [--cache SIZExLINExASSOC]
             [--coverage F] [--pair-db] [--lossy|--strict]
             [--stream] [--max-memory MB] --out FILE
@@ -112,8 +112,8 @@ commands:
       everything), and a cheap drift check skips re-placement until the
       incumbent's static miss-bound ceiling drifts past
       --replace-threshold, which also gates adopting the fresh candidate
-      (fractional; negative re-places every epoch); v2 traces align
-      epochs to frame boundaries; --epochs-out writes one CSV row per
+      (fractional; negative re-places every epoch); epochs align to
+      TMP2 frame boundaries; --epochs-out writes one CSV row per
       epoch (with per-epoch simulation of the layout in force); with
       --decay 1.0 and one epoch the layout written is byte-identical
       to profile + place
@@ -122,10 +122,6 @@ commands:
             [--stream] [--max-memory MB]
       trace-driven miss simulation (optionally cold/capacity/conflict);
       --stream simulates in one constant-memory pass
-  convert   --in FILE --out FILE --to v1|v2 [--frame-records N]
-            [--program FILE] [--lossy|--strict]
-      transcode a trace between the v1 (fixed-record) and v2 (chunked,
-      CRC-framed, streamable) binary containers; input format is sniffed
   analyze   --program FILE --layout FILE [--profile FILE]
             [--cache SIZExLINExASSOC] [--format text|json]
             [--deny warnings] [--top N] [--bounds]
@@ -152,7 +148,7 @@ commands:
   client    (--socket PATH | --tcp ADDR) [--tenant NAME [--program FILE]]
             [--trace FILE] [--layout-out FILE|-] [--stats]
             [--server-stats] [--shutdown] [--inject drop|slow] [--seed N]
-      talk to a running tempod: --trace streams a v2 trace into the
+      talk to a running tempod: --trace streams a TMP2 trace into the
       tenant frame-by-frame and prints the ingestion tally;
       --layout-out fetches the tenant's current layout (byte-identical
       to `engine` offline on the same stream); --stats/--server-stats
@@ -166,8 +162,9 @@ global flags (every command):
   --log-format FMT     structured stage events on stderr: off (default),
                        text, or json (one JSON object per line)
 
-trace reading defaults to --strict (reject corrupt traces); --lossy
-resyncs past defective records/frames and prints a recovery summary to
-stderr. Commands accepting --trace read both containers transparently.
---max-memory MB refuses to materialize traces over the budget (pass
---stream to process arbitrarily large traces in constant memory)";
+every trace file is a TMP2 container (CRC-framed varint records), as
+generate writes it. Trace reading defaults to --strict (reject corrupt
+traces); --lossy skips defective frames, repairs records against the
+program, and prints a recovery summary to stderr. --max-memory MB
+refuses to materialize a trace (pass --stream to process arbitrarily
+large traces in constant memory)";

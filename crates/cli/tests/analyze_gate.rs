@@ -1,12 +1,16 @@
 //! The static-analysis gate, driven through the `tempo-cli` binary
 //! exactly as a shell user drives it (DESIGN.md §7, §12): a GBSC layout
 //! of a Table-1 workload passes the analyzer clean under
-//! `--deny warnings`, and `--bounds` reports the conflict-miss interval.
+//! `--deny warnings`, `--bounds` reports the conflict-miss interval, and
+//! `--metrics-out` times the analysis by layer without changing the
+//! report.
 
 #![allow(clippy::unwrap_used)] // test code asserts by panicking
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use tempo_obs::{MetricValue, Snapshot};
 
 fn workdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tempo-analyze-gate-{tag}-{}", std::process::id()));
@@ -52,5 +56,25 @@ fn gbsc_layout_passes_the_analyzer_clean_and_reports_miss_bounds() {
     tempo(d, &format!("{analyzed} --format json --deny warnings"));
     let bounds = tempo(d, &format!("{analyzed} --bounds"));
     assert!(bounds.contains("miss bounds:"), "{bounds}");
+
+    // The stage span and one sample per layer; the report is unchanged.
+    let timed = tempo(
+        d,
+        &format!("{analyzed} --bounds --metrics-out analyze.json"),
+    );
+    assert_eq!(timed, bounds, "instrumentation changed the report");
+    let snap =
+        Snapshot::parse_json(&std::fs::read_to_string(d.join("analyze.json")).unwrap()).unwrap();
+    for name in [
+        "stage.analyze",
+        "analyze.rules",
+        "analyze.predict",
+        "analyze.miss_bounds",
+    ] {
+        match snap.get(name) {
+            Some(MetricValue::Histogram(h)) => assert_eq!(h.count, 1, "{name}"),
+            other => panic!("{name} is not a span histogram: {other:?}"),
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -178,7 +178,7 @@ fn pair_db_profile_supports_sa_placement() {
 }
 
 #[test]
-fn convert_roundtrip_and_streaming_match_materialized() {
+fn streaming_matches_materialized() {
     let dir = workdir("stream");
     let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
     run(&cmd(&[
@@ -190,45 +190,27 @@ fn convert_roundtrip_and_streaming_match_materialized() {
         "--program",
         &p("prog"),
         "--trace",
-        &p("train.v1"),
+        &p("train.v2"),
     ]))
     .expect("generate");
 
-    // v1 -> v2 -> v1 round-trips byte-identically.
-    run(&cmd(&[
-        "convert",
-        "--in",
-        &p("train.v1"),
-        "--out",
-        &p("train.v2"),
-        "--to",
-        "v2",
-    ]))
-    .expect("convert to v2");
-    run(&cmd(&[
-        "convert",
-        "--in",
-        &p("train.v2"),
-        "--out",
-        &p("back.v1"),
-        "--to",
-        "v1",
-    ]))
-    .expect("convert back to v1");
-    let original = std::fs::read(p("train.v1")).unwrap();
-    let back = std::fs::read(p("back.v1")).unwrap();
-    assert_eq!(original, back, "v1 -> v2 -> v1 must round-trip");
-    let v2 = std::fs::read(p("train.v2")).unwrap();
-    assert!(v2.len() < original.len(), "v2 varint frames are denser");
+    // The generated trace is TMP2, record for record the generator's.
+    let bytes = std::fs::read(p("train.v2")).unwrap();
+    let model = tempo::workloads::suite::m88ksim();
+    assert_eq!(
+        tempo::trace::v2::read_binary_v2(bytes.as_slice()).unwrap(),
+        model.training_trace(12000),
+        "generate streams the generator's records"
+    );
 
-    // Streaming profile (from the v2 container) produces the identical
-    // profile file to the materialized run on the v1 container.
+    // A streaming profile produces the identical profile file to the
+    // materialized run.
     run(&cmd(&[
         "profile",
         "--program",
         &p("prog"),
         "--trace",
-        &p("train.v1"),
+        &p("train.v2"),
         "--out",
         &p("materialized.profile"),
     ]))
@@ -250,7 +232,7 @@ fn convert_roundtrip_and_streaming_match_materialized() {
         "streaming and materialized profiles must be byte-identical"
     );
 
-    // Streaming simulate works against either container.
+    // Streaming simulate.
     run(&cmd(&[
         "place",
         "--program",
@@ -275,8 +257,8 @@ fn convert_roundtrip_and_streaming_match_materialized() {
     ]))
     .expect("streamed simulate");
 
-    // --max-memory refuses to materialize a trace over budget and points
-    // at --stream; with --stream the same budget is satisfiable.
+    // --max-memory refuses to materialize a trace and points at --stream;
+    // with --stream the same budget is satisfiable.
     let err = run(&cmd(&[
         "simulate",
         "--program",
@@ -284,7 +266,7 @@ fn convert_roundtrip_and_streaming_match_materialized() {
         "--layout",
         &p("layout"),
         "--trace",
-        &p("train.v1"),
+        &p("train.v2"),
         "--max-memory",
         "0",
     ]))
@@ -297,7 +279,7 @@ fn convert_roundtrip_and_streaming_match_materialized() {
         "--layout",
         &p("layout"),
         "--trace",
-        &p("train.v1"),
+        &p("train.v2"),
         "--max-memory",
         "0",
         "--stream",
@@ -337,21 +319,17 @@ fn lossy_streaming_recovers_corrupt_v2_frames() {
         "--program",
         &p("prog"),
         "--trace",
-        &p("train.v1"),
+        &p("train.v2"),
     ]))
     .expect("generate");
-    run(&cmd(&[
-        "convert",
-        "--in",
-        &p("train.v1"),
-        "--out",
-        &p("train.v2"),
-        "--to",
-        "v2",
-        "--frame-records",
-        "500",
-    ]))
-    .expect("convert");
+    // Re-frame at 500 records per frame, so a corrupt frame costs little.
+    let generated = std::fs::read(p("train.v2")).unwrap();
+    let trace = tempo::trace::v2::read_binary_v2(generated.as_slice()).unwrap();
+    std::fs::write(
+        p("train.v2"),
+        tempo::trace::testkit::v2_bytes(&trace, 500).unwrap(),
+    )
+    .unwrap();
 
     // Flip a payload byte mid-file: one frame's CRC breaks.
     let mut bytes = std::fs::read(p("train.v2")).unwrap();

@@ -73,13 +73,18 @@ fn daemon_tenants_match_offline_engine_and_survive_dropped_clients() {
             d,
             &format!(
                 "generate --bench {bench} --records {records} --input train \
-                 --program {tag}.procs --trace {tag}.v1"
+                 --program {tag}.procs --trace {tag}.trace"
             ),
         );
-        tempo(
-            d,
-            &format!("convert --in {tag}.v1 --out {tag}.trace --to v2 --frame-records 1000"),
-        );
+        // 1000-record frames: many frames per epoch, and many per client.
+        let path = d.join(format!("{tag}.trace"));
+        let trace =
+            tempo::trace::v2::read_binary_v2(std::fs::read(&path).unwrap().as_slice()).unwrap();
+        std::fs::write(
+            &path,
+            tempo::trace::testkit::v2_bytes(&trace, 1000).unwrap(),
+        )
+        .unwrap();
         tempo(
             d,
             &format!(

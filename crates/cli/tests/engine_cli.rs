@@ -70,12 +70,8 @@ fn engine_is_the_one_shot_pipeline_and_accounts_for_every_epoch() {
             "--program",
             "m.procs",
             "--trace",
-            "m.trace",
+            "m.v2",
         ],
-    );
-    tempo(
-        d,
-        &["convert", "--in", "m.trace", "--out", "m.v2", "--to", "v2"],
     );
 
     // One epoch spanning the whole trace, no decay: the one-shot pipeline.

@@ -1,6 +1,6 @@
 //! Fault recovery at the CLI surface, driven through the `tempo-cli`
-//! binary exactly as a shell user drives it (DESIGN.md §8): a truncated
-//! trace is refused by strict `profile` with a structured error, and
+//! binary exactly as a shell user drives it (DESIGN.md §8): a trace cut
+//! mid-frame is refused by strict `profile` with a structured error, and
 //! `--lossy` recovers a profile that `place` (under a time budget) and
 //! `analyze` accept; a hostile profile file is refused with exit 1, never
 //! a panic.
@@ -59,8 +59,9 @@ fn lossy_profile_recovers_a_truncated_trace() {
         !strict.status.success(),
         "strict mode accepted a truncated trace"
     );
+    // The cut lands inside a frame, which strict reading names.
     let why = String::from_utf8_lossy(&strict.stderr);
-    assert!(why.contains("trace truncated"), "unstructured error: {why}");
+    assert!(why.contains("is corrupt"), "unstructured error: {why}");
     assert!(!d.join("strict.profile").exists());
 
     tempo(

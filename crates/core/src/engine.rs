@@ -60,8 +60,8 @@ pub struct EngineConfig {
     /// Popularity policy used on the first epoch (membership is pinned
     /// from it for the window's lifetime).
     pub selector: PopularitySelector,
-    /// Records per epoch when chunking an unplanned source
-    /// (see [`Engine::run_source`]).
+    /// Target records per epoch: [`plan_epochs`] groups whole TMP2
+    /// frames into epochs of at least this many records.
     pub epoch_records: u64,
     /// Exponential decay applied to the window before each merge, in
     /// `(0, 1]`. `1.0` disables aging: the window is then the exact
@@ -176,7 +176,6 @@ pub struct EpochReport {
 /// Create with [`Engine::new`], optionally seed an incumbent layout with
 /// [`with_layout`](Engine::with_layout), then feed epochs via
 /// [`observe_epoch`](Engine::observe_epoch) or drive a whole source with
-/// [`run_source`](Engine::run_source) /
 /// [`run_planned`](Engine::run_planned).
 ///
 /// With `decay = 1.0` and a single epoch covering the whole trace, the
@@ -436,22 +435,6 @@ impl<'p> Engine<'p> {
         .hi
     }
 
-    /// Consumes a whole source in epochs of
-    /// [`epoch_records`](EngineConfig::epoch_records) records each (the
-    /// final epoch takes whatever remains).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error the source reports; epochs already
-    /// observed stay folded into the window.
-    pub fn run_source<S: TraceSource>(
-        &mut self,
-        source: S,
-    ) -> Result<Vec<EpochReport>, TraceIoError> {
-        let per = self.config.epoch_records;
-        self.run_chunked(source, |_| per)
-    }
-
     /// Consumes a source in the epochs of `plan` — record counts produced
     /// by [`plan_epochs`] so epoch boundaries align with TMP2 frame
     /// boundaries. Records beyond the plan's total are folded into one
@@ -464,25 +447,18 @@ impl<'p> Engine<'p> {
     /// Propagates the first error the source reports.
     pub fn run_planned<S: TraceSource>(
         &mut self,
-        source: S,
+        mut source: S,
         plan: &[u64],
     ) -> Result<Vec<EpochReport>, TraceIoError> {
         // Past the plan's end everything folds into one trailing epoch:
-        // ask for an unbounded chunk and let the shared ceiling cap it.
-        self.run_chunked(source, |i| plan.get(i).copied().unwrap_or(u64::MAX))
-    }
-
-    fn run_chunked<S: TraceSource>(
-        &mut self,
-        mut source: S,
-        mut epoch_len: impl FnMut(usize) -> u64,
-    ) -> Result<Vec<EpochReport>, TraceIoError> {
+        // ask for an unbounded chunk and let the ceiling cap it.
+        let epoch_len = |i: usize| plan.get(i).copied().unwrap_or(u64::MAX);
         // The requested length is untrusted: a hostile plan entry (or a
         // forged TMP2 frame header feeding `plan_epochs`) must neither
         // drive a huge preallocation nor buffer the entire stream, so the
         // reservation is clamped to what a modest epoch needs and the
         // buffer itself is capped at the configured ceiling — the same
-        // don't-trust-the-declared-count discipline as the v2 readers.
+        // don't-trust-the-declared-count discipline as the TMP2 readers.
         let ceiling = self.config.max_epoch_records.clamp(1, MAX_EPOCH_RECORDS);
         let clamped = move |want: u64| want.max(1).min(ceiling);
         #[allow(clippy::cast_possible_truncation)] // bounded by the clamp below
@@ -510,13 +486,12 @@ impl<'p> Engine<'p> {
 }
 
 /// Hard ceiling on the records buffered for a single epoch by
-/// [`Engine::run_source`] / [`Engine::run_planned`]: 8M records (64 MiB of
-/// [`TraceRecord`]s). A plan entry or `epoch_records` beyond this is split
-/// at the ceiling instead of buffered — an untrusted plan must never be
-/// able to materialize the whole stream.
+/// [`Engine::run_planned`]: 8M records (64 MiB of [`TraceRecord`]s). A
+/// plan entry beyond this is split at the ceiling instead of buffered — an
+/// untrusted plan must never be able to materialize the whole stream.
 pub const MAX_EPOCH_RECORDS: u64 = 1 << 23;
 
-/// Largest up-front reservation `run_chunked` makes for an epoch buffer
+/// Largest up-front reservation `run_planned` makes for an epoch buffer
 /// (64k records = 512 KiB); bigger epochs grow by pushing, so a forged
 /// length costs nothing until real records actually arrive.
 const EPOCH_PREALLOC_RECORDS: u64 = 1 << 16;
@@ -748,15 +723,14 @@ mod tests {
     }
 
     #[test]
-    fn run_source_chunks_by_epoch_records() {
+    fn run_planned_chunks_by_the_plan() {
         let p = program();
         let t = alternating_trace(&p, 50); // 100 records
-        let mut cfg = config();
-        cfg.epoch_records = 40;
         let algorithm = Gbsc::new();
-        let mut engine = Engine::new(&p, &algorithm, cfg);
-        let reports = engine.run_source(MemorySource::new(&t)).unwrap();
-        assert_eq!(reports.len(), 3);
+        let mut engine = Engine::new(&p, &algorithm, config());
+        let reports = engine
+            .run_planned(MemorySource::new(&t), &[40, 40, 20])
+            .unwrap();
         assert_eq!(
             reports.iter().map(|r| r.records).collect::<Vec<_>>(),
             vec![40, 40, 20]
@@ -806,16 +780,15 @@ mod tests {
 
     #[test]
     fn huge_epoch_records_does_not_preallocate() {
-        // If run_chunked honored a forged length in its reservation this
-        // would abort on an impossible allocation; the clamp makes it a
-        // single whole-trace epoch instead.
+        // An empty plan asks for one unbounded trailing epoch. If
+        // run_planned honored that length in its reservation this would
+        // abort on an impossible allocation; the clamp makes it a single
+        // whole-trace epoch instead.
         let p = program();
         let t = alternating_trace(&p, 50);
-        let mut cfg = config();
-        cfg.epoch_records = u64::MAX;
         let algorithm = Gbsc::new();
-        let mut engine = Engine::new(&p, &algorithm, cfg);
-        let reports = engine.run_source(MemorySource::new(&t)).unwrap();
+        let mut engine = Engine::new(&p, &algorithm, config());
+        let reports = engine.run_planned(MemorySource::new(&t), &[]).unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].records, 100);
     }

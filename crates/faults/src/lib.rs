@@ -13,14 +13,12 @@
 //! seed always produces the same corruption, so a failing matrix cell can
 //! be replayed in isolation.
 //!
-//! The injectors operate on serialized bytes, so they apply to both
-//! trace containers. The v1 form documented in `tempo-trace::io` is a
-//! 16-byte header (`TMPO` magic, version `u32` LE, record count `u64` LE)
-//! followed by fixed 8-byte records (proc `u32` LE, bytes `u32` LE). The
-//! v2 form documented in `tempo-trace::v2` is an 8-byte preamble (`TMP2`
-//! magic, version `u32` LE) followed by CRC-framed chunks of varint
-//! records; [`FaultClass::FrameMangle`] targets the region past that
-//! preamble so v2 frame headers and payloads get corrupted too.
+//! The injectors operate on serialized TMP2 bytes, as documented in
+//! `tempo-trace::v2`: an 8-byte preamble (`TMP2` magic, version `u32`
+//! LE) followed by CRC-framed chunks of varint records. The byte-level
+//! classes cut, flip or splice anywhere; the record-level classes
+//! ([`FaultClass::StackUnbalance`], [`FaultClass::ProcIdRemap`]) decode
+//! one frame and rewrite it.
 
 // In the test build, `unwrap` IS the assertion.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::cast_possible_truncation))]
@@ -28,15 +26,16 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tempo_program::ProcId;
+use tempo_trace::v2::{decode_frame, encode_frame, scan_frames, FRAME_HEADER_LEN};
+use tempo_trace::TraceRecord;
 
-/// Serialized header length: magic (4) + version (4) + record count (8).
-pub const HEADER_LEN: usize = 16;
+/// TMP2 preamble length: magic (4) + version (4).
+pub const HEADER_LEN: usize = 8;
 
-/// Serialized record length: proc id (4) + byte extent (4).
-pub const RECORD_LEN: usize = 8;
-
-/// v2 container preamble length: magic (4) + version (4).
-pub const HEADER_LEN_V2: usize = 8;
+/// Exclusive upper bound on the byte counts of splices and trickled
+/// chunks (1–7 bytes).
+const MAX_CHUNK: usize = 8;
 
 /// One class of trace corruption the injectors can synthesize.
 ///
@@ -51,23 +50,24 @@ pub enum FaultClass {
     /// Flips up to eight random bits anywhere in the stream — bit rot or
     /// a flaky transport.
     BitFlip,
-    /// Splices 1–7 extra bytes between records, knocking every later
-    /// record out of frame — shards concatenated at a non-record boundary.
+    /// Splices 1–7 extra bytes past the preamble, knocking every later
+    /// frame out of alignment — shards concatenated at a non-frame
+    /// boundary.
     RecordSplice,
-    /// XORs one byte within the 16-byte header — a corrupted magic,
-    /// version, or declared record count.
+    /// XORs one byte within the 8-byte preamble — a corrupted magic or
+    /// version.
     HeaderMangle,
-    /// Deletes one interior record without updating the header count — an
-    /// instrumentation pass whose call stack lost a return and emitted
-    /// fewer transitions than it counted.
+    /// Deletes one record from a frame but keeps the frame's record count
+    /// and CRC — an instrumentation pass whose call stack lost a return
+    /// and emitted fewer transitions than it counted. The frame stays
+    /// delimited (its length is updated), so exactly that frame fails.
     StackUnbalance,
-    /// Rewrites the proc-id field of up to four records to values no
-    /// program defines — a stale symbol table or id-space mismatch.
+    /// Rewrites the proc ids of up to four records of one frame to values
+    /// no program defines and re-encodes the frame with a valid CRC — a
+    /// stale symbol table or id-space mismatch. The stream still parses.
     ProcIdRemap,
-    /// XORs one byte past the 8-byte v2 preamble — lands in a frame
-    /// header or varint payload, breaking exactly one frame's CRC (on
-    /// the v1 container the same offsets cover the declared count and
-    /// the record array).
+    /// XORs one byte past the 8-byte preamble — lands in a frame header
+    /// or varint payload, breaking exactly one frame.
     FrameMangle,
 }
 
@@ -123,7 +123,7 @@ impl FaultClass {
                 }
             }
             FaultClass::RecordSplice => {
-                let n: usize = rng.gen_range(1..RECORD_LEN);
+                let n: usize = rng.gen_range(1..MAX_CHUNK);
                 let at = if out.len() > HEADER_LEN {
                     rng.gen_range(HEADER_LEN..=out.len())
                 } else {
@@ -141,31 +141,32 @@ impl FaultClass {
                 }
             }
             FaultClass::StackUnbalance => {
-                let records = complete_records(&out);
-                if records > 0 {
-                    let victim = rng.gen_range(0..records);
-                    let start = HEADER_LEN + victim * RECORD_LEN;
-                    out.drain(start..start + RECORD_LEN);
-                }
+                rewrite_frame(&mut out, &mut rng, |records, header, rng| {
+                    records.remove(rng.gen_range(0..records.len()));
+                    let mut frame = encode_frame(records).ok()?;
+                    // The original count and CRC now disagree with the
+                    // payload.
+                    frame[4..FRAME_HEADER_LEN].copy_from_slice(&header[4..]);
+                    Some(frame)
+                });
             }
             FaultClass::ProcIdRemap => {
-                let records = complete_records(&out);
-                if records > 0 {
-                    let hits = rng.gen_range(1..=records.min(4));
+                rewrite_frame(&mut out, &mut rng, |records, _, rng| {
+                    let hits = rng.gen_range(1..=records.len().min(4));
                     for _ in 0..hits {
-                        let r = rng.gen_range(0..records);
-                        let start = HEADER_LEN + r * RECORD_LEN;
+                        let r = rng.gen_range(0..records.len());
                         // High-half ids: out of range for any realistic
                         // program, so the defect is detectable by readers
                         // that know the program.
                         let bogus: u32 = 0xFFFF_0000 | rng.gen_range(0..0xFFFF_u32);
-                        out[start..start + 4].copy_from_slice(&bogus.to_le_bytes());
+                        records[r] = TraceRecord::new(ProcId::new(bogus), records[r].bytes);
                     }
-                }
+                    encode_frame(records).ok()
+                });
             }
             FaultClass::FrameMangle => {
-                if out.len() > HEADER_LEN_V2 {
-                    let i = rng.gen_range(HEADER_LEN_V2..out.len());
+                if out.len() > HEADER_LEN {
+                    let i = rng.gen_range(HEADER_LEN..out.len());
                     let mask: u8 = rng.gen_range(1..=255);
                     out[i] ^= mask;
                 }
@@ -181,10 +182,33 @@ impl std::fmt::Display for FaultClass {
     }
 }
 
-/// Number of complete records in a serialized stream (ignoring any
-/// trailing partial record).
-fn complete_records(bytes: &[u8]) -> usize {
-    bytes.len().saturating_sub(HEADER_LEN) / RECORD_LEN
+/// Replaces one randomly chosen non-empty frame of a well-formed TMP2
+/// stream with what `edit` makes of its decoded records and 12-byte
+/// header. Streams that do not scan or decode, or hold no records, and
+/// edits that return `None`, leave `out` unchanged.
+fn rewrite_frame(
+    out: &mut Vec<u8>,
+    rng: &mut StdRng,
+    edit: impl FnOnce(&mut Vec<TraceRecord>, &[u8], &mut StdRng) -> Option<Vec<u8>>,
+) {
+    let Ok(frames) = scan_frames(out.as_slice()) else {
+        return;
+    };
+    let full: Vec<_> = frames.iter().filter(|f| f.records > 0).collect();
+    if full.is_empty() {
+        return;
+    }
+    let f = full[rng.gen_range(0..full.len())];
+    let Ok(start) = usize::try_from(f.offset) else {
+        return;
+    };
+    let end = start + FRAME_HEADER_LEN + f.payload_len as usize;
+    let Ok(mut records) = decode_frame(&out[start..end]) else {
+        return;
+    };
+    if let Some(frame) = edit(&mut records, &out[start..start + FRAME_HEADER_LEN], rng) {
+        out.splice(start..end, frame);
+    }
 }
 
 /// One class of misbehaving *network client* — the connection-level
@@ -244,7 +268,7 @@ impl ClientFault {
                 let mut chunks = Vec::new();
                 let mut at = 0usize;
                 while at < stream.len() {
-                    let n = rng.gen_range(1..RECORD_LEN).min(stream.len() - at);
+                    let n = rng.gen_range(1..MAX_CHUNK).min(stream.len() - at);
                     chunks.push(stream[at..at + n].to_vec());
                     at += n;
                 }
@@ -263,18 +287,34 @@ impl std::fmt::Display for ClientFault {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempo_trace::v2::read_binary_v2;
+    use tempo_trace::Trace;
 
-    /// A well-formed serialized trace: header + `n` records.
+    /// A well-formed TMP2 stream: `n` records in frames of five.
     fn fixture(n: usize) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"TMPO");
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&(n as u64).to_le_bytes());
-        for i in 0..n {
-            bytes.extend_from_slice(&(i as u32 % 7).to_le_bytes());
-            bytes.extend_from_slice(&(64 + i as u32).to_le_bytes());
+        tempo_trace::testkit::v2_bytes(&trace(n), 5).unwrap()
+    }
+
+    fn trace(n: usize) -> Trace {
+        Trace::from_records(
+            (0..n as u32)
+                .map(|i| TraceRecord::new(ProcId::new(i % 7), 64 + i))
+                .collect(),
+        )
+    }
+
+    /// Each frame of a stream, as (header, payload), walked by the length
+    /// prefixes alone.
+    fn frames(bytes: &[u8]) -> Vec<(&[u8], &[u8])> {
+        let mut out = Vec::new();
+        let mut at = HEADER_LEN;
+        while at < bytes.len() {
+            let body = at + FRAME_HEADER_LEN;
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            out.push((&bytes[at..body], &bytes[body..body + len]));
+            at = body + len;
         }
-        bytes
+        out
     }
 
     #[test]
@@ -311,18 +351,28 @@ mod tests {
     fn splice_lengthens_by_a_misaligning_amount() {
         let input = fixture(20);
         for seed in 0..10 {
-            let grown = FaultClass::RecordSplice.inject(&input, seed).len() - input.len();
-            assert!((1..RECORD_LEN).contains(&grown), "grew by {grown}");
+            let out = FaultClass::RecordSplice.inject(&input, seed);
+            let grown = out.len() - input.len();
+            assert!((1..MAX_CHUNK).contains(&grown), "grew by {grown}");
+            assert_eq!(&out[..HEADER_LEN], &input[..HEADER_LEN]);
         }
     }
 
     #[test]
     fn unbalance_removes_exactly_one_record() {
         let input = fixture(20);
-        let out = FaultClass::StackUnbalance.inject(&input, 1);
-        assert_eq!(out.len(), input.len() - RECORD_LEN);
-        // Header (and so the declared count) is untouched.
-        assert_eq!(&out[..HEADER_LEN], &input[..HEADER_LEN]);
+        for seed in 0..10 {
+            let out = FaultClass::StackUnbalance.inject(&input, seed);
+            let (before, after) = (frames(&input), frames(&out));
+            assert_eq!(before.len(), after.len(), "framing holds");
+            let changed: Vec<_> = before.iter().zip(&after).filter(|(b, a)| b != a).collect();
+            assert_eq!(changed.len(), 1, "seed {seed}: one frame changed");
+            let ((bh, bp), (ah, ap)) = changed[0];
+            // Count and CRC kept; the payload lost one (2-byte) record.
+            assert_eq!(&bh[4..], &ah[4..]);
+            assert_eq!(ap.len() + 2, bp.len());
+            assert!(read_binary_v2(out.as_slice()).is_err());
+        }
     }
 
     #[test]
@@ -338,27 +388,34 @@ mod tests {
 
     #[test]
     fn remap_rewrites_only_proc_fields_to_out_of_range_ids() {
+        let original = trace(20);
         let input = fixture(20);
-        let out = FaultClass::ProcIdRemap.inject(&input, 2);
-        assert_eq!(out.len(), input.len());
-        let mut changed = 0;
-        for r in 0..20 {
-            let start = HEADER_LEN + r * RECORD_LEN;
-            let proc = u32::from_le_bytes(out[start..start + 4].try_into().unwrap());
-            let bytes = &out[start + 4..start + 8];
-            assert_eq!(bytes, &input[start + 4..start + 8], "extent untouched");
-            if proc != u32::from_le_bytes(input[start..start + 4].try_into().unwrap()) {
-                assert!(proc >= 0xFFFF_0000, "remapped id is far out of range");
-                changed += 1;
+        for seed in 0..10 {
+            // Re-encoded with a valid CRC: the stream reads strictly.
+            let out =
+                read_binary_v2(FaultClass::ProcIdRemap.inject(&input, seed).as_slice()).unwrap();
+            assert_eq!(out.len(), original.len());
+            let mut changed = Vec::new();
+            for (i, (o, r)) in out.iter().zip(original.iter()).enumerate() {
+                assert_eq!(o.bytes, r.bytes, "extent untouched");
+                if o.proc != r.proc {
+                    assert!(
+                        o.proc.index() >= 0xFFFF_0000,
+                        "remapped id is far out of range"
+                    );
+                    changed.push(i / 5);
+                }
             }
+            assert!((1..=4).contains(&changed.len()), "seed {seed}: {changed:?}");
+            assert!(changed.iter().all(|&f| f == changed[0]), "one frame");
         }
-        assert!(changed >= 1);
     }
 
     #[test]
     fn injectors_are_total_on_degenerate_inputs() {
+        let garbage: Vec<u8> = (0..64u8).collect();
         for class in FaultClass::ALL {
-            for input in [&[][..], &[0x54][..], &fixture(0)[..]] {
+            for input in [&[][..], &[0x54][..], &fixture(0)[..], &garbage[..]] {
                 for seed in 0..3 {
                     let _ = class.inject(input, seed); // must not panic
                 }
@@ -397,7 +454,7 @@ mod tests {
         for seed in 0..10 {
             let plan = ClientFault::SlowTrickle.schedule(&stream, seed);
             assert_eq!(plan.concat(), stream, "trickle must cover the stream");
-            assert!(plan.iter().all(|c| (1..RECORD_LEN).contains(&c.len())));
+            assert!(plan.iter().all(|c| (1..MAX_CHUNK).contains(&c.len())));
         }
     }
 

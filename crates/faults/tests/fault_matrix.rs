@@ -20,9 +20,13 @@ use tempo_faults::FaultClass;
 
 const SEEDS: u64 = 8;
 
+/// Records per frame of the fixture: small, so every fault class has
+/// many frame headers and payloads to land in.
+const FRAME_RECORDS: usize = 100;
+
 /// A program with mixed procedure sizes and a phase-structured trace,
-/// serialized to the binary format the injectors corrupt.
-fn fixture() -> (Program, Vec<u8>) {
+/// and that trace serialized to the TMP2 stream the injectors corrupt.
+fn fixture() -> (Program, Trace, Vec<u8>) {
     let mut builder = Program::builder();
     for (i, size) in [1024u32, 4096, 2048, 8192, 512, 4096, 1024, 2048]
         .into_iter()
@@ -40,20 +44,29 @@ fn fixture() -> (Program, Vec<u8>) {
         }
     }
     let trace = Trace::from_full_records(&program, refs);
-    let mut bytes = Vec::new();
-    tempo::trace::io::write_binary(&mut bytes, &trace).unwrap();
-    (program, bytes)
+    let bytes = tempo::trace::testkit::v2_bytes(&trace, FRAME_RECORDS).unwrap();
+    (program, trace, bytes)
+}
+
+fn lossy(bytes: &[u8], program: &Program) -> (Trace, TraceWarnings) {
+    tempo::trace::v2::read_binary_v2_lossy(bytes, Some(program)).expect("lossy reads are total")
 }
 
 #[test]
 fn readers_never_panic_and_lossy_always_recovers() {
-    let (program, bytes) = fixture();
+    let (program, original, bytes) = fixture();
+    let frame_starts: Vec<usize> = tempo::trace::v2::scan_frames(bytes.as_slice())
+        .unwrap()
+        .iter()
+        .map(|f| usize::try_from(f.offset).unwrap())
+        .collect();
     for class in FaultClass::ALL {
         for seed in 0..SEEDS {
             let corrupt = class.inject(&bytes, seed);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let strict = tempo::trace::io::read_binary(corrupt.as_slice());
-                let lossy = tempo::trace::io::read_binary_lossy(corrupt.as_slice(), Some(&program));
+                let strict = tempo::trace::v2::read_binary_v2(corrupt.as_slice());
+                let lossy =
+                    tempo::trace::v2::read_binary_v2_lossy(corrupt.as_slice(), Some(&program));
                 (strict, lossy)
             }));
             let (strict, lossy) =
@@ -69,79 +82,74 @@ fn readers_never_panic_and_lossy_always_recovers() {
 
             // Class-specific expectations.
             match class {
-                // Any cut below the full length loses header or record
-                // bytes, which strict mode must report.
+                // A cut at a frame boundary is a valid shorter stream (the
+                // format declares no total count); anywhere else strict
+                // mode fails. Either way lossy mode keeps exactly the
+                // whole frames before the cut.
                 FaultClass::Truncate => {
-                    assert!(strict.is_err(), "truncate seed {seed} read strictly");
+                    let cut = corrupt.len();
+                    let whole = frame_starts.iter().filter(|&&s| s < cut).count();
+                    let kept = if frame_starts.contains(&cut) || cut == bytes.len() {
+                        assert!(strict.is_ok(), "cut at a frame boundary, seed {seed}");
+                        whole
+                    } else {
+                        assert!(strict.is_err(), "truncate seed {seed} read strictly");
+                        whole.saturating_sub(1)
+                    };
+                    let kept = (kept * FRAME_RECORDS).min(original.len());
+                    assert_eq!(trace.records(), &original.records()[..kept], "seed {seed}");
                 }
-                // A deleted record contradicts the declared count.
+                // Flipped bits land in the preamble, a frame header or a
+                // payload; each is caught by the magic/version check, the
+                // length and count checks, or the CRC.
+                FaultClass::BitFlip => {
+                    if corrupt != bytes {
+                        assert!(strict.is_err(), "bit-flip seed {seed} read strictly");
+                        assert!(warnings.total() >= 1, "bit-flip seed {seed}: {warnings}");
+                    }
+                }
+                // Spliced bytes knock the framing out at the splice: the
+                // frames before it survive, nothing after it does.
+                FaultClass::RecordSplice => {
+                    assert!(strict.is_err(), "splice seed {seed} read strictly");
+                    assert!(warnings.bad_frames >= 1, "splice seed {seed}: {warnings}");
+                    assert!(original.records().starts_with(trace.records()));
+                }
+                // A mangled preamble is tallied, and every frame behind it
+                // is still read.
+                FaultClass::HeaderMangle => {
+                    assert!(strict.is_err(), "header-mangle seed {seed} read strictly");
+                    assert_eq!(warnings.header_mangled, 1, "seed {seed}: {warnings}");
+                    assert_eq!(warnings.total(), 1, "seed {seed}: {warnings}");
+                    assert_eq!(trace, original, "seed {seed}");
+                }
+                // One frame lost a record but kept its count and CRC:
+                // strict mode rejects it, lossy mode skips exactly it.
                 FaultClass::StackUnbalance => {
                     assert!(
                         matches!(
                             strict,
-                            Err(tempo::trace::io::TraceIoError::Truncated { .. })
+                            Err(tempo::trace::io::TraceIoError::CorruptFrame { .. })
                         ),
-                        "unbalance seed {seed} not reported as truncation"
+                        "unbalance seed {seed} not reported as a corrupt frame"
                     );
-                    assert!(warnings.count_mismatch >= 1, "seed {seed}: {warnings}");
+                    assert_eq!(warnings.bad_frames, 1, "seed {seed}: {warnings}");
+                    assert_eq!(warnings.total(), 1, "seed {seed}: {warnings}");
+                    assert_eq!(trace.len(), original.len() - FRAME_RECORDS, "seed {seed}");
                 }
-                // Any header byte change is either a magic/version defect
-                // or a count that disagrees with the records on disk.
-                FaultClass::HeaderMangle => {
-                    assert!(
-                        warnings.header_mangled + warnings.count_mismatch >= 1,
-                        "mangle seed {seed} left no warning: {warnings}"
-                    );
-                }
-                // Remapped ids parse fine but name no known procedure:
-                // strict output fails validation, lossy drops and counts.
+                // Remapped ids sit in a CRC-valid frame: the stream parses
+                // strictly but fails validation, lossy drops and counts.
                 FaultClass::ProcIdRemap => {
                     let strict_trace = strict
                         .unwrap_or_else(|e| panic!("remap seed {seed} should parse strictly: {e}"));
                     assert!(strict_trace.validate(&program).is_err());
                     assert!(warnings.unknown_proc >= 1, "seed {seed}: {warnings}");
+                    assert_eq!(warnings.total(), warnings.unknown_proc, "seed {seed}");
+                    assert_eq!(
+                        trace.len() as u64 + warnings.unknown_proc,
+                        original.len() as u64
+                    );
                 }
-                // Bit flips, splices, and mid-stream mangles can produce
-                // any byte pattern, so the only universal guarantees are
-                // the ones asserted above for every class.
-                FaultClass::BitFlip | FaultClass::RecordSplice | FaultClass::FrameMangle => {}
-            }
-        }
-    }
-}
-
-/// Re-frames the fixture trace into the v2 container with small frames so
-/// every fault class has many frame headers and payloads to land in.
-fn v2_fixture_bytes(v1: &[u8]) -> Vec<u8> {
-    let trace = tempo::trace::io::read_binary(v1).unwrap();
-    tempo::trace::testkit::v2_bytes(&trace, 100).unwrap()
-}
-
-#[test]
-fn v2_streaming_readers_never_panic_and_lossy_always_recovers() {
-    let (program, v1) = fixture();
-    let bytes = v2_fixture_bytes(&v1);
-    for class in FaultClass::ALL {
-        for seed in 0..SEEDS {
-            let corrupt = class.inject(&bytes, seed);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let strict = tempo::trace::v2::read_binary_v2(corrupt.as_slice());
-                let lossy =
-                    tempo::trace::v2::read_binary_v2_lossy(corrupt.as_slice(), Some(&program));
-                (strict, lossy)
-            }));
-            let (strict, lossy) =
-                outcome.unwrap_or_else(|_| panic!("v2 reader panicked: {class} seed {seed}"));
-
-            // Lossy mode is total and its output always fits the program.
-            let (trace, warnings) =
-                lossy.unwrap_or_else(|e| panic!("v2 lossy read failed: {class} seed {seed}: {e}"));
-            assert!(
-                trace.validate(&program).is_ok(),
-                "v2 lossy output does not fit the program: {class} seed {seed}"
-            );
-
-            match class {
                 // One mangled byte past the preamble always breaks exactly
                 // one frame: its CRC (or length/count prefix) no longer
                 // matches, so strict mode rejects and lossy mode skips it.
@@ -152,54 +160,34 @@ fn v2_streaming_readers_never_panic_and_lossy_always_recovers() {
                         "frame-mangle seed {seed} left no bad-frame warning: {warnings}"
                     );
                 }
-                // The mangle targets the first 16 bytes, but the v2
-                // preamble is only 8: the hit corrupts either the
-                // magic/version or the first frame's header.
-                FaultClass::HeaderMangle => {
-                    assert!(strict.is_err(), "header-mangle seed {seed} read strictly");
-                    assert!(
-                        warnings.header_mangled + warnings.bad_frames >= 1,
-                        "header-mangle seed {seed}: {warnings}"
-                    );
-                }
-                // The remaining classes assume v1 offsets, so on the v2
-                // container they degenerate to arbitrary edits (and a cut
-                // at a frame boundary is a *valid* shorter v2 stream —
-                // the format declares no total count); only the universal
-                // guarantees above apply.
-                FaultClass::Truncate
-                | FaultClass::BitFlip
-                | FaultClass::RecordSplice
-                | FaultClass::StackUnbalance
-                | FaultClass::ProcIdRemap => {}
             }
         }
     }
 }
 
+/// The streaming path (a `V2Source` drained by `pump`, block by block)
+/// recovers exactly what the record-by-record reader recovers, with the
+/// same tallies, on every corrupted stream.
 #[test]
-fn v1_streaming_source_matches_materialized_reader_on_corrupt_input() {
-    let (program, bytes) = fixture();
+fn v2_streaming_readers_never_panic_and_lossy_always_recovers() {
+    let (program, _, bytes) = fixture();
     for class in FaultClass::ALL {
         for seed in 0..SEEDS {
             let corrupt = class.inject(&bytes, seed);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let mut source =
-                    tempo::trace::io::V1Source::new_lossy(corrupt.as_slice(), Some(&program))
+                    tempo::trace::v2::V2Source::new_lossy(corrupt.as_slice(), Some(&program))
                         .expect("lossy open is total");
                 let mut sink = Trace::default();
                 pump(&mut source, &mut sink).expect("lossy stream is total");
                 (sink, source.warnings())
             }));
             let (streamed, stream_warnings) =
-                outcome.unwrap_or_else(|_| panic!("v1 source panicked: {class} seed {seed}"));
-            let (materialized, mat_warnings) =
-                tempo::trace::io::read_binary_lossy(corrupt.as_slice(), Some(&program))
-                    .expect("lossy reads are total");
+                outcome.unwrap_or_else(|_| panic!("v2 source panicked: {class} seed {seed}"));
+            let (materialized, mat_warnings) = lossy(&corrupt, &program);
             assert_eq!(
-                streamed.records().len(),
-                materialized.records().len(),
-                "streamed and materialized lossy reads disagree: {class} seed {seed}"
+                streamed, materialized,
+                "streamed and record-by-record lossy reads disagree: {class} seed {seed}"
             );
             assert_eq!(
                 stream_warnings, mat_warnings,
@@ -211,14 +199,12 @@ fn v1_streaming_source_matches_materialized_reader_on_corrupt_input() {
 
 #[test]
 fn lossy_pipeline_places_cleanly_on_every_corrupted_trace() {
-    let (program, bytes) = fixture();
+    let (program, _, bytes) = fixture();
     for class in FaultClass::ALL {
         for seed in 0..SEEDS {
             let corrupt = class.inject(&bytes, seed);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let (trace, _) =
-                    tempo::trace::io::read_binary_lossy(corrupt.as_slice(), Some(&program))
-                        .expect("lossy reads are total");
+                let (trace, _) = lossy(&corrupt, &program);
                 let session = Session::new(&program, CacheConfig::direct_mapped_8k())
                     .popularity(PopularitySelector::all())
                     .profile(&trace);
@@ -235,8 +221,7 @@ fn lossy_pipeline_places_cleanly_on_every_corrupted_trace() {
 
 #[test]
 fn starved_budget_yields_analyzer_clean_identity_layout() {
-    let (program, bytes) = fixture();
-    let trace = tempo::trace::io::read_binary(bytes.as_slice()).unwrap();
+    let (program, trace, _) = fixture();
     let session = Session::new(&program, CacheConfig::direct_mapped_8k())
         .popularity(PopularitySelector::all())
         .profile(&trace);
@@ -256,13 +241,12 @@ fn starved_budget_yields_analyzer_clean_identity_layout() {
 
 #[test]
 fn budgeted_placement_never_panics_even_on_recovered_traces() {
-    let (program, bytes) = fixture();
+    let (program, _, bytes) = fixture();
     // Corrupt, recover, then place under a sweep of budgets: the fallback
     // chain must stay panic-free and always produce a valid layout.
     for class in [FaultClass::BitFlip, FaultClass::RecordSplice] {
         let corrupt = class.inject(&bytes, 1);
-        let (trace, _) = tempo::trace::io::read_binary_lossy(corrupt.as_slice(), Some(&program))
-            .expect("lossy reads are total");
+        let (trace, _) = lossy(&corrupt, &program);
         let session = Session::new(&program, CacheConfig::direct_mapped_8k())
             .popularity(PopularitySelector::all())
             .profile(&trace);

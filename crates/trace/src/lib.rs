@@ -12,11 +12,11 @@
 //!   producers, [`TraceSink`] consumers, the [`pump`] driver loop, and
 //!   [`Tee`] fan-out, so pipelines process traces of any length in
 //!   constant memory (DESIGN.md §10).
-//! * [`io`] — the v1 binary container (fixed records, count up front);
-//!   strict and lossy streaming readers.
-//! * [`v2`] — the v2 chunked binary container: CRC-framed blocks of varint
+//! * [`v2`] — the trace container (TMP2): CRC-framed blocks of varint
 //!   records, streamable and lossy-recoverable frame by frame, read by one
 //!   reader ([`v2::V2Source`], opened from a file by [`open_v2_auto`]).
+//! * [`io`] — the readers' shared vocabulary: structured errors, the
+//!   strict/lossy read mode and the lossy defect tallies.
 //! * [`testkit`] — TMP2 fixture builders shared by integration tests and
 //!   the bench harness (in-memory containers at a chosen frame
 //!   granularity, constant-memory file fixtures from any source).

@@ -13,12 +13,11 @@ use crate::io::TraceWarnings;
 pub const RECORDS_READ: &str = "trace.records_read";
 /// Whole v2 frames skipped (truncated, CRC failure, undecodable).
 pub const FRAMES_SKIPPED: &str = "trace.frames_skipped";
-/// Records dropped during ingestion (zero extents, unknown procedures,
-/// truncated tails).
+/// Records dropped during ingestion (zero extents, unknown procedures).
 pub const RECORDS_DROPPED: &str = "trace.records_dropped";
 /// Records repaired by clamping an oversized extent.
 pub const RECORDS_CLAMPED: &str = "trace.records_clamped";
-/// Container-header defects (mangled magic/version, count mismatches).
+/// Container-header defects (mangled magic or version).
 pub const HEADERS_MANGLED: &str = "trace.headers_mangled";
 
 /// Reports one completed read pass to the global metric registry:
@@ -33,13 +32,10 @@ pub fn note_read(records: u64, warnings: &TraceWarnings) {
         (FRAMES_SKIPPED, warnings.bad_frames),
         (
             RECORDS_DROPPED,
-            warnings.zero_extent + warnings.unknown_proc + warnings.truncated_tail,
+            warnings.zero_extent + warnings.unknown_proc,
         ),
         (RECORDS_CLAMPED, warnings.clamped_extent),
-        (
-            HEADERS_MANGLED,
-            warnings.header_mangled + warnings.count_mismatch,
-        ),
+        (HEADERS_MANGLED, warnings.header_mangled),
     ] {
         if count > 0 {
             tempo_obs::counter(name).add(count);

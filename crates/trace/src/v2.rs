@@ -1,10 +1,6 @@
-//! Chunked binary trace format **v2**: length-delimited frames of
-//! varint-encoded records with per-frame CRCs.
-//!
-//! The v1 format is a single fixed-width record array behind a declared
-//! count — simple, but it cannot be validated incrementally and a reader
-//! that wants integrity checking must hold the whole trace. Format v2 is
-//! built for streaming:
+//! The trace container, **TMP2** (format version 2): length-delimited
+//! frames of varint-encoded records with per-frame CRCs, built for
+//! streaming:
 //!
 //! ```text
 //! +---------------------------------------------------------------+
@@ -23,7 +19,7 @@
 //!   bytes) at a time; end of input at a frame boundary ends the trace, so
 //!   no up-front record count is needed and writers can append forever.
 //! * **Compact**: records are LEB128 varints, so the common small
-//!   procedure-id/extent pairs take 2–4 bytes instead of v1's fixed 8.
+//!   procedure-id/extent pairs take 2–4 bytes instead of a fixed 8.
 //! * **Verifiable and recoverable**: each frame carries a CRC-32 (IEEE) of
 //!   its payload. Strict readers fail on the first bad frame
 //!   ([`TraceIoError::CorruptFrame`]); lossy readers skip exactly that
@@ -336,12 +332,8 @@ impl<W: Write> V2Writer<W> {
         if self.frame_records == 0 {
             return Ok(());
         }
-        let len = u32::try_from(self.payload.len()).map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "frame payload overflow")
-        })?;
-        self.writer.write_all(&len.to_le_bytes())?;
-        self.writer.write_all(&self.frame_records.to_le_bytes())?;
-        self.writer.write_all(&crc32(&self.payload).to_le_bytes())?;
+        let header = frame_header(&self.payload, self.frame_records)?;
+        self.writer.write_all(&header)?;
         self.writer.write_all(&self.payload)?;
         self.payload.clear();
         self.frame_records = 0;
@@ -377,6 +369,39 @@ impl<W: Write> TraceSink for V2Writer<W> {
             self.error = Some(e);
         }
     }
+}
+
+/// The 12-byte header of a frame carrying `payload` and `records`.
+fn frame_header(payload: &[u8], records: u32) -> std::io::Result<[u8; FRAME_HEADER_LEN]> {
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, "frame payload overflow")
+    })?;
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    header[0..4].copy_from_slice(&len.to_le_bytes());
+    header[4..8].copy_from_slice(&records.to_le_bytes());
+    header[8..12].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(header)
+}
+
+/// Encodes `records` as one self-contained frame, header plus payload,
+/// byte for byte as [`V2Writer`] emits it: the inverse of
+/// [`decode_frame`].
+///
+/// # Errors
+///
+/// Fails when the frame would not fit the header's 32-bit fields.
+pub fn encode_frame(records: &[TraceRecord]) -> Result<Vec<u8>, TraceIoError> {
+    let count = u32::try_from(records.len()).map_err(|_| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, "frame record overflow")
+    })?;
+    let mut payload = Vec::new();
+    for r in records {
+        push_varint(&mut payload, r.proc.index());
+        push_varint(&mut payload, r.bytes);
+    }
+    let mut frame = frame_header(&payload, count)?.to_vec();
+    frame.extend_from_slice(&payload);
+    Ok(frame)
 }
 
 /// Writes a whole trace in the v2 format.
@@ -958,19 +983,19 @@ mod tests {
 
     #[test]
     fn v2_is_denser_than_v1_for_small_ids() {
+        // Against the 8 bytes a fixed-width (proc u32, extent u32) record
+        // takes, as the retired v1 container stored it.
         let records: Vec<_> = (0..10_000)
             .map(|i| TraceRecord::new(ProcId::new(i % 50), (i % 200) + 1))
             .collect();
         let t = Trace::from_records(records);
-        let mut v1 = Vec::new();
-        crate::io::write_binary(&mut v1, &t).unwrap();
+        let fixed = 8 * t.len();
         let mut v2 = Vec::new();
         write_binary_v2(&mut v2, &t).unwrap();
         assert!(
-            v2.len() * 2 < v1.len(),
-            "v2 ({}) should be well under half of v1 ({})",
-            v2.len(),
-            v1.len()
+            v2.len() * 2 < fixed,
+            "v2 ({}) should be well under half of fixed records ({fixed})",
+            v2.len()
         );
     }
 
@@ -1319,6 +1344,19 @@ mod tests {
             back.extend(decode_frame(&buf[start..end]).unwrap());
         }
         assert_eq!(back, t.records());
+    }
+
+    #[test]
+    fn encode_frame_matches_writer_frames_and_decodes_back() {
+        let t = sample_trace();
+        let mut buf = Vec::new();
+        write_binary_v2(&mut buf, &t).unwrap();
+        let frame = encode_frame(t.records()).unwrap();
+        assert_eq!(&buf[8..], frame.as_slice());
+        assert_eq!(decode_frame(&frame).unwrap(), t.records());
+        // The empty frame is all zeros: crc32 of nothing is 0.
+        assert_eq!(encode_frame(&[]).unwrap(), vec![0u8; FRAME_HEADER_LEN]);
+        assert!(decode_frame(&[0u8; FRAME_HEADER_LEN]).unwrap().is_empty());
     }
 
     #[test]

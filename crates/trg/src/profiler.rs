@@ -24,7 +24,7 @@ use crate::{PairDb, PopularSet, PopularitySelector, QSet, WeightedGraph};
 /// [`fold_into`](EdgeAcc::fold_into) merges into a window's rows: graph
 /// rows are built in bulk, never edge by edge. The result is bit-identical
 /// to per-event `add_weight(a, b, 1.0)` calls: integer counts below 2^53
-/// convert to `f64` exactly, and a node's sorted row holds the same
+/// are exact in `f64`, and a node's sorted row holds the same
 /// entries whatever order the events came in.
 #[derive(Debug, Default, Clone)]
 struct EdgeAcc {
@@ -1346,15 +1346,6 @@ mod tests {
     }
 
     #[test]
-    fn decay_of_one_is_bit_exact_identity() {
-        let p = program();
-        let prof = profile(&p, &trace1(&p, 10));
-        let mut decayed = prof.clone();
-        decayed.decay(1.0);
-        assert_eq!(decayed, prof);
-    }
-
-    #[test]
     fn decay_scales_every_component() {
         let p = program();
         let t = trace1(&p, 10);
@@ -1395,43 +1386,6 @@ mod tests {
     }
 
     #[test]
-    fn retire_epoch_inverts_merge_exactly() {
-        // Build two epoch profiles over the same pinned membership, merge
-        // the second into the first, then retire it: the window must come
-        // back bit-identical (q_stats.max is a high-water mark, checked
-        // separately).
-        let p = program();
-        let t1 = trace1(&p, 25);
-        let t2 = trace2(&p);
-        let cache = CacheConfig::direct_mapped_8k();
-        let global = PopularitySelector::all().select(&p, &t1);
-        let flags: Vec<bool> = (0..p.len())
-            .map(|i| global.is_popular(ProcId::new(i as u32)))
-            .collect();
-        let e1 = Profiler::new(&p, cache)
-            .with_popular(global.clone())
-            .profile(&t1);
-        let counts2: Vec<u64> = {
-            let mut c = vec![0u64; p.len()];
-            for r in t2.iter() {
-                c[r.proc.as_usize()] += 1;
-            }
-            c
-        };
-        let e2 = Profiler::new(&p, cache)
-            .with_popular(PopularSet::from_parts(flags, counts2))
-            .profile(&t2);
-
-        let mut window = e1.clone();
-        window.merge(&e2).unwrap();
-        window.retire_epoch(&e2).unwrap();
-        // Everything but the high-water mark reverts exactly.
-        let mut expect = e1.clone();
-        expect.q_stats.max = expect.q_stats.max.max(e2.q_stats.max);
-        assert_eq!(window, expect);
-    }
-
-    #[test]
     fn retire_epoch_rejects_incompatible_profiles() {
         let p = program();
         let prof = profile(&p, &trace1(&p, 5));
@@ -1461,5 +1415,116 @@ mod tests {
         assert_eq!(pert.trg_select.edge_count(), prof.trg_select.edge_count());
         assert_ne!(pert.trg_select.weight(0, 1), prof.trg_select.weight(0, 1));
         assert_eq!(pert.q_stats, prof.q_stats);
+    }
+
+    // -----------------------------------------------------------------
+    // Engine laws over random epoch plans (DESIGN.md §15). Every case
+    // starts from the Figure 1 epochs the unit tests used, then appends
+    // random epochs.
+    // -----------------------------------------------------------------
+
+    use proptest::prelude::*;
+
+    /// The Figure 1 epochs followed by `extra` random ones, each a list
+    /// of procedure indices below 4.
+    fn epoch_traces(p: &Program, extra: &[Vec<u32>]) -> Vec<Trace> {
+        let mut epochs = vec![trace1(p, 25), trace2(p)];
+        epochs.extend(
+            extra
+                .iter()
+                .map(|refs| Trace::from_full_records(p, refs.iter().map(|&i| ProcId::new(i)))),
+        );
+        epochs
+    }
+
+    /// One profile per epoch over the membership pinned from the whole
+    /// run, as the engine profiles its epochs.
+    fn epoch_profiles(p: &Program, epochs: &[Trace], pair_db: bool) -> Vec<ProfileData> {
+        let whole = Trace::from_records(epochs.iter().flat_map(|t| t.iter().copied()).collect());
+        let global = PopularitySelector::all().select(p, &whole);
+        let flags: Vec<bool> = (0..p.len())
+            .map(|i| global.is_popular(ProcId::new(i as u32)))
+            .collect();
+        epochs
+            .iter()
+            .map(|t| {
+                let mut counts = vec![0u64; p.len()];
+                for r in t.iter() {
+                    counts[r.proc.as_usize()] += 1;
+                }
+                Profiler::new(p, CacheConfig::direct_mapped_8k())
+                    .with_popular(PopularSet::from_parts(flags.clone(), counts))
+                    .with_pair_db(pair_db)
+                    .profile(t)
+            })
+            .collect()
+    }
+
+    /// Sequential windows: `windows[j]` is epochs `0..=j` merged in order.
+    fn windows(profiles: &[ProfileData]) -> Vec<ProfileData> {
+        let mut out: Vec<ProfileData> = vec![profiles[0].clone()];
+        for e in &profiles[1..] {
+            let mut w = out[out.len() - 1].clone();
+            w.merge(e).unwrap();
+            out.push(w);
+        }
+        out
+    }
+
+    fn random_epochs() -> impl Strategy<Value = Vec<Vec<u32>>> {
+        prop::collection::vec(prop::collection::vec(0u32..4, 0..120), 0..5)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Retiring the epochs of a merged window, newest first, walks
+        /// back through every earlier window bit for bit; only the
+        /// `q_stats.max` high-water mark keeps the run's maximum.
+        #[test]
+        fn retire_epoch_inverts_merge_exactly(extra in random_epochs(), pair_db in any::<bool>()) {
+            let p = program();
+            let profiles = epoch_profiles(&p, &epoch_traces(&p, &extra), pair_db);
+            let windows = windows(&profiles);
+            let full = windows[windows.len() - 1].clone();
+            let mut window = full.clone();
+            for j in (1..profiles.len()).rev() {
+                window.retire_epoch(&profiles[j]).unwrap();
+                let mut expect = windows[j - 1].clone();
+                expect.q_stats.max = full.q_stats.max;
+                prop_assert_eq!(&window, &expect);
+            }
+        }
+
+        /// `decay(1.0)` leaves every window bit-identical, merged or not.
+        #[test]
+        fn decay_of_one_is_bit_exact_identity(extra in random_epochs(), pair_db in any::<bool>()) {
+            let p = program();
+            for window in windows(&epoch_profiles(&p, &epoch_traces(&p, &extra), pair_db)) {
+                let mut decayed = window.clone();
+                decayed.decay(1.0);
+                prop_assert_eq!(&decayed, &window);
+            }
+        }
+
+        /// Integer counts make `merge` order-free: any permutation of the
+        /// epochs merges to the same window, bit for bit.
+        #[test]
+        fn merge_is_order_free_on_integer_counts(
+            extra in random_epochs(),
+            pair_db in any::<bool>(),
+            order in any::<u64>(),
+        ) {
+            let p = program();
+            let mut profiles = epoch_profiles(&p, &epoch_traces(&p, &extra), pair_db);
+            let in_order = windows(&profiles).pop().unwrap();
+            // A seeded Fisher-Yates shuffle of the epochs.
+            let mut state = order;
+            for i in (1..profiles.len()).rev() {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                profiles.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            prop_assert_eq!(windows(&profiles).pop().unwrap(), in_order);
+        }
     }
 }

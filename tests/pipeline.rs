@@ -115,8 +115,8 @@ fn trace_io_roundtrip_through_the_pipeline() {
     let trace = model.training_trace(5_000);
 
     let mut buf = Vec::new();
-    tempo::trace::io::write_binary(&mut buf, &trace).unwrap();
-    let back = tempo::trace::io::read_binary(buf.as_slice()).unwrap();
+    tempo::trace::v2::write_binary_v2(&mut buf, &trace).unwrap();
+    let back = tempo::trace::v2::read_binary_v2(buf.as_slice()).unwrap();
     assert_eq!(back, trace);
 
     // Profiles built from the round-tripped trace are identical.

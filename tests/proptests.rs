@@ -722,13 +722,16 @@ proptest! {
     #[test]
     fn trace_binary_io_roundtrips(
         recs in prop::collection::vec((0u32..1000, 1u32..100_000), 0..200),
+        frame_records in 1usize..50,
     ) {
         let t = Trace::from_records(
             recs.into_iter().map(|(p, b)| TraceRecord::new(ProcId::new(p), b)).collect(),
         );
-        let mut buf = Vec::new();
-        tempo::trace::io::write_binary(&mut buf, &t).unwrap();
-        prop_assert_eq!(tempo::trace::io::read_binary(buf.as_slice()).unwrap(), t);
+        let buf = tempo::trace::testkit::v2_bytes(&t, frame_records).unwrap();
+        prop_assert_eq!(&tempo::trace::v2::read_binary_v2(buf.as_slice()).unwrap(), &t);
+        let (back, warnings) = tempo::trace::v2::read_binary_v2_lossy(buf.as_slice(), None).unwrap();
+        prop_assert_eq!(back, t);
+        prop_assert!(warnings.is_clean());
     }
 }
 
@@ -949,47 +952,61 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Truncating a serialized trace at any byte offset yields either an
-    /// accurate `Truncated { expected, found }` (strict) and a recovered
-    /// prefix of exactly the surviving complete records (lossy), or — when
-    /// the cut lands inside the 16-byte header — a header-class error
-    /// (strict) and an empty-but-warned recovery (lossy).
+    /// Truncating a TMP2 stream at any byte offset keeps exactly the
+    /// whole frames before the cut. A cut at a frame boundary is a valid
+    /// shorter stream; a cut inside a frame is a strict `CorruptFrame`
+    /// naming that frame and one lossy bad frame; a cut inside the 8-byte
+    /// preamble is a strict error and an empty, warned recovery.
     #[test]
     fn truncated_binary_trace_reports_and_recovers_accurately(
         (program, trace) in program_and_trace(),
+        frame_records in 1usize..20,
         cut_frac in 0.0f64..1.0,
     ) {
-        use tempo::trace::io::{read_binary, read_binary_lossy, TraceIoError};
-        const HEADER: usize = 16;
-        const RECORD: usize = 8;
+        use tempo::trace::io::TraceIoError;
+        use tempo::trace::v2::{read_binary_v2, read_binary_v2_lossy, scan_frames};
+        const PREAMBLE: usize = 8;
 
-        let mut bytes = Vec::new();
-        tempo::trace::io::write_binary(&mut bytes, &trace).unwrap();
+        let mut bytes = tempo::trace::testkit::v2_bytes(&trace, frame_records).unwrap();
+        let starts: Vec<usize> = scan_frames(bytes.as_slice())
+            .unwrap()
+            .iter()
+            .map(|f| f.offset as usize)
+            .collect();
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
         bytes.truncate(cut);
 
-        let strict = read_binary(bytes.as_slice());
+        let strict = read_binary_v2(bytes.as_slice());
         let (recovered, warnings) =
-            read_binary_lossy(bytes.as_slice(), Some(&program)).unwrap();
+            read_binary_v2_lossy(bytes.as_slice(), Some(&program)).unwrap();
 
-        if cut < HEADER {
+        if cut < PREAMBLE {
             prop_assert!(strict.is_err());
             prop_assert_eq!(recovered.len(), 0);
             // An empty input is vacuously clean; any partial header warns.
             prop_assert_eq!(warnings.header_mangled, u64::from(cut > 0));
         } else {
-            let survivors = (cut - HEADER) / RECORD;
-            match strict {
-                Err(TraceIoError::Truncated { expected, found }) => {
-                    prop_assert_eq!(expected, trace.len() as u64);
-                    prop_assert_eq!(found, survivors as u64);
+            // Frames starting before the cut; the last of them is whole
+            // only when the cut falls on the next frame's start.
+            let begun = starts.iter().filter(|&&s| s < cut).count();
+            let whole = if cut == PREAMBLE || starts.contains(&cut) {
+                prop_assert!(strict.is_ok(), "cut at a frame boundary");
+                prop_assert!(warnings.is_clean());
+                begun
+            } else {
+                match strict {
+                    Err(TraceIoError::CorruptFrame { frame }) => {
+                        prop_assert_eq!(frame, begun as u64 - 1);
+                    }
+                    other => prop_assert!(false, "expected CorruptFrame, got {:?}", other),
                 }
-                other => prop_assert!(false, "expected Truncated, got {:?}", other),
-            }
-            prop_assert_eq!(recovered.len(), survivors);
+                prop_assert_eq!(warnings.bad_frames, 1);
+                prop_assert_eq!(warnings.total(), 1);
+                begun - 1
+            };
+            let survivors = (whole * frame_records).min(trace.len());
             // The recovered records are a byte-exact prefix.
             prop_assert_eq!(recovered.records(), &trace.records()[..survivors]);
-            prop_assert!(!warnings.is_clean());
         }
     }
 }

@@ -1,15 +1,14 @@
 //! The streaming-equivalence contract (DESIGN.md §10): profiling and
 //! simulating through `TraceSource` streams must be *indistinguishable*
 //! from the materialized pipeline — identical `ProfileData`, identical
-//! miss counts — for every kind of source (in-memory, v1 file, v2 file,
-//! lazy generator), plus property tests over the v2 chunked container
+//! miss counts — for every kind of source (in-memory, TMP2 file, lazy
+//! generator), plus property tests over the v2 chunked container
 //! including truncated and corrupt frames in lossy mode.
 
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)] // test code asserts by panicking
 
 use proptest::prelude::*;
 use tempo::prelude::*;
-use tempo::trace::io::{write_binary, V1Source};
 use tempo::trace::v2::{read_binary_v2_lossy, write_binary_v2, V2Source};
 use tempo::trace::RecordBlock;
 use tempo::workloads::suite;
@@ -46,17 +45,6 @@ fn streaming_matches_materialized_across_all_sources() {
     assert!(
         reference.profile() == from_memory.profile(),
         "memory-streamed profile differs from the materialized one"
-    );
-
-    // v1 binary container, streamed from its serialized bytes.
-    let mut v1 = Vec::new();
-    write_binary(&mut v1, &train).unwrap();
-    let (from_v1, _) = Session::new(program, cache)
-        .profile_with(|| V1Source::new(v1.as_slice()))
-        .unwrap();
-    assert!(
-        reference.profile() == from_v1.profile(),
-        "v1-streamed profile differs from the materialized one"
     );
 
     // v2 chunked container, streamed from its serialized bytes.
